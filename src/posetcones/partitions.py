@@ -7,14 +7,30 @@ quotient levels: the blocks lying inside min(P) are exactly the removable
 ones, so choosing a partial partition of min(P), deleting it, and forbidding
 leftover-minima-only blocks at the next step visits each transverse partition
 once.
+
+The weighted count behind the cone polynomial needs no blocks at all.  A
+layer that takes a free and f forbidden minima contributes, summed over its
+partitions whose blocks each hold a free label and weighted by
+prod (|B|-1)! t^(|B|-1),
+
+    W(a, f) = t^f * a^(f) * sum_k c(a, k) t^(a-k),
+
+with a^(f) = a (a+1) ... (a+f-1) the rising factorial and c(a, k) the
+unsigned Stirling numbers of the first kind.  The weight (|B|-1)! counts the
+cyclic orders of a block, so the sum runs over permutations of the layer
+whose cycles each hold a free label, with t marking size minus cycle count.
+Permutations of the free labels give the Stirling sum; each forbidden label
+is then inserted after an existing element in cycle notation, with a, a+1,
+..., a+f-1 choices in turn, which adds one to the size but no cycle.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
 from math import factorial
 
 from .errors import IndexOutOfRange, NotTransverse, ParseError
+from .genfun import stirling_first_kind_row
 from .posets import Poset, is_antichain
 
 
@@ -252,10 +268,26 @@ def enumerate_transverse(P: Poset):
         yield SetPartition(n, blocks)
 
 
+@lru_cache(maxsize=None)
+def _layer_weight(a, f):
+    """W(a, f) = t^f * a^(f) * sum_k c(a, k) t^(a-k) as ascending coefficients:
+    the weighted count of partitions of a free and f forbidden labels in
+    which every block holds a free label (see the module docstring)."""
+    rising = factorial(a + f - 1) // factorial(a - 1)
+    row = stirling_first_kind_row(a)
+    return (0,) * f + tuple(rising * row[a - j] for j in range(a))
+
+
 def transverse_poly_coeffs(P: Poset):
     """Coefficient list c with c[d] = sum of prod (|B|-1)! over transverse
-    partitions having n - d blocks.  Memoized on (alive, forbidden) masks,
-    which is what makes large chain-product posets feasible.
+    partitions having n - d blocks.
+
+    Memoized on (alive, forbidden) masks, which is what makes large
+    chain-product posets feasible.  A layer's weight depends only on the
+    numbers a of free and f of forbidden minima it takes, so each layer
+    subset multiplies its tail by the closed form W(a, f) of the module
+    docstring and no partition is built.  A state whose minima are all
+    forbidden has no layer and contributes zero.
     """
     n = P.n
     down = P._down
@@ -269,17 +301,27 @@ def transverse_poly_coeffs(P: Poset):
         if got is not None:
             return got
         mm = _min_mask(down, alive)
-        acc = [0] * (bin(alive).count("1") + 1)
-        for s_mask, blocks in _layer_choices(mm, forbidden):
-            w = 1
-            shift = 0
-            for blk in blocks:
-                w *= factorial(len(blk) - 1)
-                shift += len(blk) - 1
-            tail = rec(alive & ~s_mask, mm & ~s_mask)
-            for d, c in enumerate(tail):
-                if c:
-                    acc[d + shift] += c * w
+        free = mm & ~forbidden
+        if not free:
+            return (0,)
+        forb = mm & forbidden
+        acc = [0] * (alive.bit_count() + 1)
+        sa = free
+        while sa:
+            a = sa.bit_count()
+            sf = forb
+            while True:
+                s = sa | sf
+                tail = rec(alive & ~s, mm & ~s)
+                if tail != (0,):
+                    for j, w in enumerate(_layer_weight(a, sf.bit_count())):
+                        if w:
+                            for d, c in enumerate(tail):
+                                acc[d + j] += w * c
+                if not sf:
+                    break
+                sf = (sf - 1) & forb
+            sa = (sa - 1) & free
         while len(acc) > 1 and acc[-1] == 0:
             acc.pop()
         out = tuple(acc)
@@ -296,25 +338,6 @@ def brute_force_transverse(P: Poset):
 
 def singleton_partition(n: int) -> SetPartition:
     return SetPartition(n, [[i] for i in range(1, n + 1)])
-
-
-def partitions_of_set(elems):
-    """All partitions of an explicit label set (helper for tests)."""
-    elems = sorted(elems)
-    if not elems:
-        yield []
-        return
-    first, rest = elems[0], elems[1:]
-    for sub in partitions_of_set(rest):
-        yield [[first]] + [list(b) for b in sub]
-        for i in range(len(sub)):
-            out = [list(b) for b in sub]
-            out[i].append(first)
-            yield out
-
-
-def antichain_blocks(P: Poset, pi: SetPartition) -> bool:
-    return all(is_antichain(P, blk) for blk in pi.blocks)
 
 
 def mobius_abs(pi: SetPartition) -> int:

@@ -10,7 +10,6 @@ actually bounded.
 from __future__ import annotations
 
 import random
-from itertools import permutations
 
 from .errors import (
     CycleDetected,
@@ -410,11 +409,6 @@ def brute_force_width(P: Poset) -> int:
     return best
 
 
-def brute_force_extensions(P: Poset):
-    """Filter all n! words (oracle for n <= 7)."""
-    return [w for w in permutations(range(1, P.n + 1)) if is_linear_extension(P, w)]
-
-
 # -- text format --------------------------------------------------------------
 
 def parse_poset(text: str, max_n=DEFAULT_MAX_N) -> Poset:
@@ -429,7 +423,7 @@ def parse_poset(text: str, max_n=DEFAULT_MAX_N) -> Poset:
         if tok[0] == "n":
             if n is not None:
                 raise ParseError(f"line {lineno}: duplicate n line")
-            if len(tok) != 2 or not tok[1].isdigit():
+            if len(tok) != 2 or not tok[1].isdecimal():
                 raise ParseError(f"line {lineno}: expected `n <count>`")
             n = int(tok[1])
         elif tok[0] == "rel":

@@ -22,7 +22,6 @@ from .posets import (
     Poset,
     _matching_chain_cover,
     chain_cover_width2,
-    count_linear_extensions,
     linear_extensions,
     poset_from_relations,
 )
@@ -210,6 +209,3 @@ def p_eulerian(P: Poset) -> IntPolynomial:
         coeffs[k] += 1
     return IntPolynomial(coeffs)
 
-
-def poincare_at_one_matches(P: Poset) -> bool:
-    return poincare(P)(1) == count_linear_extensions(P)

@@ -1,8 +1,11 @@
 import io
+import os
+import subprocess
 import sys
 
 import pytest
 
+import posetcones
 from posetcones import IntPolynomial, whitney
 from posetcones.cli import main
 
@@ -28,6 +31,15 @@ def poset_file(tmp_path, text, name="poset.txt"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_process(*argv, stdin=b""):
+    """Run the CLI in a fresh interpreter, so a traceback reaches stderr."""
+    src = os.path.dirname(os.path.dirname(posetcones.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8:strict")
+    proc = subprocess.run([sys.executable, "-m", "posetcones", *argv],
+                          input=stdin, capture_output=True, env=env)
+    return proc.returncode, proc.stderr.decode("utf-8", "replace")
 
 
 def test_poin_machine(tmp_path, capsys):
@@ -94,6 +106,31 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     cyc = poset_file(tmp_path, "n 2\nrel 1 2\nrel 2 1\n", "cyc.txt")
     code, _, _ = run(capsys, "poin", cyc)
     assert code == 2
+
+
+def test_superscript_count_is_a_parse_error(tmp_path):
+    f = poset_file(tmp_path, "n \u00b2\n")
+    code, err = run_process("poin", f)
+    assert code == 2 and "Traceback" not in err
+
+
+def test_invalid_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"n 2\nrel 1 \xff\n")
+    code, err = run_process("poin", str(path))
+    assert code == 2 and "Traceback" not in err
+    code, err = run_process("poin", "-", stdin=path.read_bytes())
+    assert code == 2 and "Traceback" not in err
+
+
+def test_genfun_negative_degree_exit_2():
+    code, err = run_process("genfun", "verify", "--degree", "-1")
+    assert code == 2 and "Traceback" not in err
+
+
+def test_selfcheck_n_max_zero_exit_2():
+    code, err = run_process("selfcheck", "--n-max", "0")
+    assert code == 2 and "Traceback" not in err
 
 
 def test_linext_listing(tmp_path, capsys):

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from posetcones import (
+    IntPolynomial,
     NotTransverse,
     ParseError,
     SetPartition,
@@ -26,13 +27,16 @@ from posetcones import (
     union_of_chains,
 )
 from posetcones.partitions import (
+    _layer_choices,
+    _layer_weight,
     brute_force_transverse,
     check_transverse,
     singleton_partition,
     transverse_poly_coeffs,
 )
+from posetcones.whitney import poincare_via_transverse
 
-from common import transitive_closure_pairs
+from common import all_labeled_posets, transitive_closure_pairs
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 
@@ -200,3 +204,55 @@ def test_weight_sum_equals_extension_count():
         total = sum(pi.mobius_abs() for pi in enumerate_transverse(P))
         assert total == count_linear_extensions(P)
     assert sum(pi.mobius_abs() for pi in enumerate_transverse(antichain(5))) == factorial(5)
+
+
+def _enumerated_coeffs(P):
+    coeffs = [0] * (P.n + 1)
+    for pi in enumerate_transverse(P):
+        coeffs[P.n - len(pi)] += pi.mobius_abs()
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def test_layer_weight_matches_partition_sum():
+    for size in range(1, 7):
+        full = (1 << size) - 1
+        for f in range(size + 1):
+            a = size - f
+            forbidden = full >> a << a  # the top f labels
+            brute = [0] * size
+            for s_mask, blocks in _layer_choices(full, forbidden):
+                if s_mask != full:
+                    continue
+                w = 1
+                for blk in blocks:
+                    w *= factorial(len(blk) - 1)
+                brute[size - len(blocks)] += w
+            if a == 0:
+                assert not any(brute)
+                continue
+            while brute[-1] == 0:
+                brute.pop()
+            assert list(_layer_weight(a, f)) == brute, (a, f)
+
+
+def test_dp_matches_enumeration_on_all_small_posets():
+    for n in range(5):
+        for P in all_labeled_posets(n):
+            assert transverse_poly_coeffs(P) == _enumerated_coeffs(P)
+
+
+def test_dp_matches_enumeration_on_random_posets():
+    rng = random.Random(2)
+    for _ in range(300):
+        P = random_poset(rng.randint(0, 9), rng.choice([0.2, 0.3, 0.5, 0.7]), rng)
+        assert transverse_poly_coeffs(P) == _enumerated_coeffs(P)
+
+
+def test_dp_reaches_large_antichains():
+    for n in range(12, 17):
+        want = IntPolynomial.one()
+        for k in range(1, n):
+            want = want * IntPolynomial([1, k])
+        assert poincare_via_transverse(antichain(n)) == want
