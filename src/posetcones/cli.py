@@ -63,6 +63,13 @@ def _decomposition(P, args):
     return ChainDecomposition(P, p1, p2)
 
 
+def _first_difference(p, q):
+    """'at t^k: a vs b' for the lowest power where p and q differ."""
+    k = next(k for k in range(max(p.degree, q.degree) + 1)
+             if p.coefficient(k) != q.coefficient(k))
+    return f"at t^{k}: {p.coefficient(k)} vs {q.coefficient(k)}"
+
+
 def _int_list(text):
     try:
         return [int(t) for t in text.replace(",", " ").split()]
@@ -263,17 +270,18 @@ def cmd_selfcheck(args):
         tag = f"trial {trial} (n={n}, p={p})"
 
         dp = whitney.poincare_via_transverse(P)
-        sweep = whitney.poincare_via_lrmax(P, workers=args.workers)
+        lr = whitney.poincare_via_lrmax(P, workers=args.workers)
         ran["transverse=lrmax"] += 1
-        if dp != sweep:
-            fails.append(f"{tag}: transverse != lrmax")
+        if dp != lr:
+            fails.append(f"{tag}: transverse != lrmax {_first_difference(dp, lr)}")
         nle = count_linear_extensions(P)
         ran["poin(1)=#linext"] += 1
         if dp(1) != nle:
             fails.append(f"{tag}: Poin(1) != #LinExt")
         ran["duality"] += 1
-        if whitney.poincare_via_transverse(opposite(P)) != dp:
-            fails.append(f"{tag}: dual polynomial differs")
+        dual = whitney.poincare_via_transverse(opposite(P))
+        if dual != dp:
+            fails.append(f"{tag}: dual polynomial differs {_first_difference(dp, dual)}")
 
         words = []
         for w in linear_extensions(P):
@@ -296,8 +304,9 @@ def cmd_selfcheck(args):
             d = None
         if d is not None:
             ran["width2 agreement"] += 1
-            if whitney.poincare_via_width2(P, d) != dp:
-                fails.append(f"{tag}: width2 polynomial differs")
+            w2 = whitney.poincare_via_width2(P, d)
+            if w2 != dp:
+                fails.append(f"{tag}: width2 polynomial differs {_first_difference(dp, w2)}")
             for w in words:
                 pi = bijections.omega(P, d, w)
                 if bijections.omega_inv(P, d, pi) != w:
@@ -333,7 +342,7 @@ def build_parser():
     common.add_argument("--machine", action="store_true",
                         help="bare machine-readable output")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the extension sweep")
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--seed", type=int, default=42,
                         help="seed for randomized commands")
 

@@ -133,9 +133,15 @@ def mmt_bracket(j) -> IntPolynomial:
     return out
 
 
+def _check_size(ell, cap):
+    if ell < 0 or cap < 0:
+        raise DegreeExceeded(f"ell and cap must be nonnegative, got ell={ell}, cap={cap}")
+
+
 def chains_gf_rhs(ell, cap) -> TruncatedSeries:
     """(1 - sum_j falling_bracket(j) e_j)^{-1}; the x^a coefficient is the
     cone polynomial of disjoint chains with multiplicities a."""
+    _check_size(ell, cap)
     body = TruncatedSeries.one(ell, cap)
     for j in range(1, min(ell, cap) + 1):
         body = body - elementary_symmetric(ell, j, cap).scaled(falling_bracket(j))
@@ -145,6 +151,7 @@ def chains_gf_rhs(ell, cap) -> TruncatedSeries:
 def tmmt_rhs(ell, cap) -> TruncatedSeries:
     """(1 + sum_j mmt_bracket(j) e_j)^{-1}; the x^a coefficient is the factor
     count distribution sum_sigma t^fcyc over words with support a."""
+    _check_size(ell, cap)
     body = TruncatedSeries.one(ell, cap)
     for j in range(1, min(ell, cap) + 1):
         body = body + elementary_symmetric(ell, j, cap).scaled(mmt_bracket(j))

@@ -341,3 +341,34 @@ def test_selfcheck_catches_planted_corruption(capsys, monkeypatch):
                        "--seed", "7", "--machine")
     assert code == 4
     assert out.splitlines()[-1] == "FAIL"
+
+
+def test_selfcheck_failure_names_first_differing_coefficient(capsys, monkeypatch):
+    real = whitney.poincare_via_lrmax
+
+    def corrupted(P, workers=1):
+        poly = real(P, workers=workers)
+        if P.n == 4:
+            return poly + IntPolynomial([0, 1])
+        return poly
+
+    monkeypatch.setattr(whitney, "poincare_via_lrmax", corrupted)
+    code, out, _ = run(capsys, "selfcheck", "--n-max", "5", "--trials", "25",
+                       "--seed", "7")
+    assert code == 4
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fails
+    for line in fails:
+        assert "transverse != lrmax at t^1: " in line
+    assert "transverse != lrmax at t^1: 5 vs 6" in out
+
+
+def test_cli_import_starts_no_process_machinery():
+    src = os.path.dirname(os.path.dirname(posetcones.__file__))
+    code = ("import sys, posetcones.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('concurrent', 'multiprocessing'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -145,3 +145,10 @@ def test_fcyc_distribution_small():
     assert fcyc_distribution(()) == poly(1)
     # two letters: words 12, 21; 12 has two unit factors, 21 one pair
     assert fcyc_distribution((1, 1)) == poly(0, 1, 1)
+
+
+@pytest.mark.parametrize("build", [chains_gf_rhs, tmmt_rhs, verify_chains_gf])
+@pytest.mark.parametrize("ell, cap", [(-1, 3), (2, -1), (-2, -2)])
+def test_negative_sizes_raise_degree_exceeded(build, ell, cap):
+    with pytest.raises(DegreeExceeded):
+        build(ell, cap)

@@ -13,7 +13,10 @@ from posetcones import (
     chain,
     chain_cover_width2,
     count_linear_extensions,
+    des_p1p2,
     grid,
+    linear_extensions,
+    lrmax_count,
     opposite,
     ordinal_sum,
     p_eulerian,
@@ -44,7 +47,7 @@ def test_worked_examples():
 
 
 def test_antichain_rows_are_rising_factorials():
-    for n in range(0, 8):
+    for n in range(0, 15):
         want = IntPolynomial.one()
         for k in range(1, n):
             want = want * poly(1, k)
@@ -151,3 +154,30 @@ def test_p_eulerian():
     for P in (grid(2, 3), grid(2, 5), union_of_chains((3, 4)), union_of_chains((2, 2))):
         d = chain_cover_width2(P)
         assert p_eulerian(P) == poincare_via_width2(P, d)
+
+
+def test_extension_routes_match_brute_force_sums():
+    # oracle: each route against its per-word statistic summed over every
+    # linear extension
+    rng = random.Random(113)
+    for _ in range(150):
+        n = rng.randint(0, 8)
+        P = random_poset(n, rng.choice([0.1, 0.25, 0.4, 0.6, 0.85]), rng)
+        try:
+            d = chain_cover_width2(P)
+        except WidthExceeded:
+            d = None
+        lr, w2, des = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+        for w in linear_extensions(P):
+            lr[n - lrmax_count(P, w)] += 1
+            des[sum(1 for i in range(n - 1) if w[i] > w[i + 1])] += 1
+            if d is not None:
+                w2[des_p1p2(P, d, w)] += 1
+        assert poincare_via_lrmax(P) == IntPolynomial(lr)
+        assert p_eulerian(P) == IntPolynomial(des)
+        if d is not None:
+            assert poincare_via_width2(P, d) == IntPolynomial(w2)
+
+
+def test_auto_method_sends_antichain_17_to_transverse():
+    assert auto_method(antichain(17)) == "transverse"
