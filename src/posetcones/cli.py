@@ -164,9 +164,10 @@ def _parse_support(text):
 
 
 def cmd_foata(args):
-    if args.variant == "decompose":
+    if args.variant in ("decompose", "fcyc"):
         support = _parse_support(args.support) if args.support else None
         sigma = parse_multiset_perm(args.array, support=support)
+    if args.variant == "decompose":
         factors = prime_decompose(sigma)
         for f in factors:
             print(multiset_perm_to_text(f))
@@ -177,8 +178,6 @@ def cmd_foata(args):
         tau = parse_multiset_perm(args.right)
         print(multiset_perm_to_text(intercalation(rho, tau)))
     elif args.variant == "fcyc":
-        support = _parse_support(args.support) if args.support else None
-        sigma = parse_multiset_perm(args.array, support=support)
         print(fcyc(sigma))
     elif args.variant == "phi":
         a = _parse_support(args.support)
@@ -435,20 +434,19 @@ def _checked_bij(args):
 
 
 def _checked_foata(args):
-    if args.variant == "intercalate":
-        # positionals shift: array/left hold the two factors
-        if args.array is None or args.left is None:
-            raise ParseError("foata intercalate requires two arrays")
-        args.left, args.right = args.array, args.left
-    elif args.variant in ("decompose", "fcyc"):
-        if args.array is None:
-            raise ParseError(f"foata {args.variant} requires an array argument")
-    elif args.variant == "phi":
-        if args.support is None or args.word is None:
-            raise ParseError("foata phi requires --support and --word")
-    else:
-        if args.support is None or args.perm is None:
-            raise ParseError("foata phi-inv requires --support and --perm")
+    arrays = [x for x in (args.array, args.left, args.right) if x is not None]
+    want = {"intercalate": 2, "decompose": 1, "fcyc": 1}.get(args.variant, 0)
+    if len(arrays) > want:
+        raise ParseError(f"foata {args.variant} takes {want} array argument(s), "
+                         f"got {len(arrays)}")
+    if len(arrays) < want:
+        raise ParseError("foata intercalate requires two arrays" if want == 2
+                         else f"foata {args.variant} requires an array argument")
+    if want == 2:
+        args.left, args.right = arrays
+    need = {"phi": "word", "phi-inv": "perm"}.get(args.variant)
+    if need and (args.support is None or getattr(args, need) is None):
+        raise ParseError(f"foata {args.variant} requires --support and --{need}")
     return cmd_foata(args)
 
 

@@ -4,13 +4,17 @@ A multiset permutation is stored column-wise with the top row weakly
 increasing (canonical form); the implicit subscripts 1..n are the canonical
 column positions.  Intercalation stably merges columns by top letter.  The
 factorization walk repeatedly starts at the smallest letter with columns
-left, steps top -> bottom peeking the leftmost unused column of each letter,
+left, steps top -> bottom through the leftmost unused column of each letter,
 and cuts out the first revisited circuit; tail arcs stay for later factors.
+
+One list-based walker, `_circuits`, does this on raw bottom words; the object
+API ranks the letters before calling it, and the route over all words of a
+support feeds it one list rearranged in place.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 
 from .errors import (
     IndexOutOfRange,
@@ -153,12 +157,9 @@ def intercalate_all(factors):
 
 def is_prime(sigma: MultisetPermutation) -> bool:
     """Multiplicity-free support forming a single cycle."""
-    if sigma.n == 0:
+    succ = dict(sigma.columns)
+    if not succ or len(succ) < sigma.n:
         return False
-    counts = Counter(t for t, _ in sigma.columns)
-    if any(c > 1 for c in counts.values()):
-        return False
-    succ = {t: b for t, b in sigma.columns}
     start = min(succ)
     x = succ[start]
     steps = 1
@@ -168,34 +169,51 @@ def is_prime(sigma: MultisetPermutation) -> bool:
     return steps == len(succ)
 
 
-def _decompose_indexed(sigma):
-    """Circuits of canonical column indices, in discovery order."""
-    queues = {}
-    for idx, (t, _) in enumerate(sigma.columns):
-        queues.setdefault(t, deque()).append(idx)
-    letters = sorted(queues)
-    factors = []
+def _circuits(word, a):
+    """Circuits of canonical column indices, in discovery order, of the bottom
+    word `word` (letter u used a[u-1] times) against the sorted top row.  Arcs
+    before a circuit stay on the path; an empty path restarts at the smallest
+    letter with columns left."""
+    ell = len(a)
+    end = [0]
+    for m in a:
+        end.append(end[-1] + m)
+    ptr = [0] + end[:-1]
+    mark = [-1] * (ell + 1)  # position on the path, -1 when off it
+    circuits = []
+    steps = []
+    start = 1
     while True:
-        start = next((t for t in letters if queues[t]), None)
-        if start is None:
-            return factors
-        path = [start]
-        seen = {start: 0}
-        steps = []
-        v = start
-        while True:
-            idx = queues[v][0]
-            w = sigma.columns[idx][1]
-            steps.append(idx)
-            if w in seen:
-                circuit = steps[seen[w]:]
-                for cidx in circuit:
-                    queues[sigma.columns[cidx][0]].popleft()
-                factors.append(circuit)
-                break
-            seen[w] = len(path)
-            path.append(w)
-            v = w
+        if not steps:
+            while start <= ell and ptr[start] == end[start]:
+                start += 1
+            if start > ell:
+                return circuits
+            v = start
+            mark[v] = 0
+        idx = ptr[v]
+        steps.append(idx)
+        v = word[idx]
+        k = mark[v]
+        if k < 0:
+            mark[v] = len(steps)
+            continue
+        circuit = steps[k:]
+        circuits.append(circuit)
+        del steps[k:]
+        for c in circuit:
+            ptr[word[c]] += 1
+            mark[word[c]] = -1
+        if k:
+            mark[v] = k
+
+
+def _decompose_indexed(sigma):
+    """Circuits of canonical column indices, in discovery order.  Letters are
+    ranked first, so the walk's lists never grow with the letters' size."""
+    counts = Counter(t for t, _ in sigma.columns)  # in increasing letter order
+    rank = {t: r for r, t in enumerate(counts, start=1)}
+    return _circuits([rank[b] for _, b in sigma.columns], list(counts.values()))
 
 
 def prime_decompose(sigma: MultisetPermutation):
@@ -256,37 +274,49 @@ def multiset_encode(a, lam) -> MultisetPermutation:
 def multiset_decode(a, sigma: MultisetPermutation):
     """k-th occurrence of letter j in the bottom row -> k-th label of chain j."""
     _check_support(sigma, tuple(a))
-    offsets = [0] * (len(a) + 1)
-    for j, aj in enumerate(a, start=1):
-        offsets[j] = offsets[j - 1] + aj
-    cnt = [0] * (len(a) + 1)
+    last = [0]  # last[j-1]: label most recently given to chain j
+    for aj in a:
+        last.append(last[-1] + aj)
     word = []
     for b in sigma.bottom_row():
-        cnt[b] += 1
-        word.append(offsets[b - 1] + cnt[b])
+        last[b - 1] += 1
+        word.append(last[b - 1])
     return tuple(word)
+
+
+def _words(a):
+    """Every bottom word with support a, in lex order, as one list that is
+    rearranged in place (next permutation) between yields."""
+    word = _chain_letters(a)
+    n = len(word)
+    while True:
+        yield word
+        i = n - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = word[:i:-1]
 
 
 def enumerate_multiset_perms(a):
     """All multiset permutations with the given support, bottom rows in lex
     order."""
-    n = sum(a)
-    counts = list(a)
-    word = []
+    support = tuple(a)
+    for word in _words(support):
+        yield MultisetPermutation.from_word(word, support=support)
 
-    def rec():
-        if len(word) == n:
-            yield MultisetPermutation.from_word(word, support=tuple(a))
-            return
-        for j in range(1, len(a) + 1):
-            if counts[j - 1]:
-                counts[j - 1] -= 1
-                word.append(j)
-                yield from rec()
-                word.pop()
-                counts[j - 1] += 1
 
-    yield from rec()
+def _fcyc_counts(a):
+    """counts[k] = number of words with support a that have k prime factors."""
+    counts = [0] * (sum(a) + 1)
+    for word in _words(a):
+        counts[len(_circuits(word, a))] += 1
+    return counts
 
 
 # -- the cycle bijection --------------------------------------------------------

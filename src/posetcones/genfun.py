@@ -9,7 +9,7 @@ constant term.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import DegreeExceeded
 from .polynomials import IntPolynomial
@@ -161,17 +161,7 @@ def tmmt_rhs(ell, cap) -> TruncatedSeries:
 def _compositions_upto(ell, cap):
     """All exponent tuples with nonnegative parts and total at most cap, in
     lex order."""
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == ell:
-            out.append(tuple(prefix))
-            return
-        for v in range(left + 1):
-            rec(prefix + [v], left - v)
-
-    rec([], cap)
-    return out
+    return [e for e in product(range(cap + 1), repeat=ell) if sum(e) <= cap]
 
 
 def coefficient(S: TruncatedSeries, a) -> IntPolynomial:
@@ -198,12 +188,9 @@ def verify_chains_gf(ell, cap):
 
 def fcyc_distribution(a) -> IntPolynomial:
     """sum over words with support a of t^(number of prime factors)."""
-    from .foata import enumerate_multiset_perms, fcyc
+    from .foata import _fcyc_counts
 
-    coeffs = [0] * (sum(a) + 1)
-    for sigma in enumerate_multiset_perms(a):
-        coeffs[fcyc(sigma)] += 1
-    return IntPolynomial(coeffs)
+    return IntPolynomial(_fcyc_counts(a))
 
 
 def stirling_first_kind_row(n):

@@ -176,24 +176,27 @@ def _deriv(cs):
     return _trim([Fraction(k) * cs[k] for k in range(1, len(cs))])
 
 
-def _rem(a, b):
-    """Remainder of a by b, both nonzero Fraction coefficient lists."""
+def _divmod(a, b):
+    """Quotient and remainder of a by b, both nonzero Fraction coefficient
+    lists."""
     a = list(a)
+    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     db, lb = len(b) - 1, b[-1]
     while len(a) - 1 >= db and _trim(a):
         da = len(a) - 1
         q = a[-1] / lb
+        out[da - db] = q
         for i in range(db + 1):
             a[da - db + i] -= q * b[i]
         a.pop()
         _trim(a)
-    return a
+    return out, a
 
 
 def _gcd(a, b):
     a, b = list(a), list(b)
     while _trim(b):
-        a, b = b, _rem(a, b)
+        a, b = b, _divmod(a, b)[1]
     return a
 
 
@@ -216,10 +219,10 @@ def count_real_roots(p: IntPolynomial) -> int:
         return 0
     g = _gcd(cs, _deriv(cs))
     if len(g) > 1:
-        cs = _normalized(_rem_free_divide(cs, g))
+        cs = _normalized(_divmod(cs, g)[0])
     chain = [cs, _deriv(cs)]
     while _trim(list(chain[-1])) and len(chain[-1]) > 1:
-        r = _rem(chain[-2], chain[-1])
+        r = _divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(_normalized([-c for c in r]))
@@ -234,18 +237,3 @@ def count_real_roots(p: IntPolynomial) -> int:
         signs_neg.append(s if (len(q) - 1) % 2 == 0 else -s)
     var = lambda ss: sum(1 for x, y in zip(ss, ss[1:]) if x != y)
     return var(signs_neg) - var(signs_pos)
-
-
-def _rem_free_divide(a, b):
-    """Exact quotient a/b (b divides a)."""
-    a = list(a)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _trim(a):
-        da = len(a) - 1
-        q = a[-1] / lb
-        out[da - db] = q
-        for i in range(db + 1):
-            a[da - db + i] -= q * b[i]
-        _trim(a)
-    return out

@@ -89,13 +89,9 @@ def poincare_via_lrmax(P: Poset, workers: int = 1) -> IntPolynomial:
 def poincare_via_foata(a) -> IntPolynomial:
     """Disjoint chains with multiplicities a: sum of t^(n - #prime factors)
     over all multiset words."""
-    from .foata import enumerate_multiset_perms, fcyc
+    from .foata import _fcyc_counts
 
-    n = sum(a)
-    coeffs = [0] * (n + 1)
-    for sigma in enumerate_multiset_perms(a):
-        coeffs[n - fcyc(sigma)] += 1
-    return IntPolynomial(coeffs)
+    return IntPolynomial(_fcyc_counts(a)[::-1])
 
 
 def poincare_via_width2(P: Poset, d=None) -> IntPolynomial:
@@ -119,11 +115,12 @@ def poincare_via_width2(P: Poset, d=None) -> IntPolynomial:
 
 def auto_method(P: Poset) -> str:
     """Transverse DP while its up-set bound, the product of (chain length + 1)
-    over a minimum chain cover, stays at most 200 000; else the lrmax DP."""
+    over a minimum chain cover, stays at most 2^20 (antichain 20, measured
+    ten times faster than the lrmax DP); else the lrmax DP."""
     bound = 1
     for c in _matching_chain_cover(P):
         bound *= len(c) + 1
-        if bound > 200_000:
+        if bound > 1 << 20:
             return "lrmax"
     return "transverse"
 

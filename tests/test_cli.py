@@ -372,3 +372,30 @@ def test_cli_import_starts_no_process_machinery():
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_foata_huge_letters_run_in_a_fresh_process():
+    src = os.path.dirname(os.path.dirname(posetcones.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, want in [
+        (["fcyc", "99999999999999999999"], "1\n"),
+        (["decompose", "5,1000000000;1000000000,5"],
+         "5,1000000000;1000000000,5\nfcyc: 1\n"),
+    ]:
+        proc = subprocess.run([sys.executable, "-m", "posetcones", "foata", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, want), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["intercalate", "1;1", "2;2", "3;3"],
+    ["decompose", "1;1", "2;2"],
+    ["fcyc", "1,2;2,1", "1;1", "2;2"],
+    ["phi", "1;1", "--support", "2,2", "--word", "1,2,3,4"],
+    ["phi-inv", "1;1", "--support", "1,1", "--perm", "(1)(2)"],
+])
+def test_foata_extra_positionals_exit_2(capsys, argv):
+    code, out, err = run(capsys, "foata", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: foata {argv[0]} takes ")

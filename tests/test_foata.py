@@ -30,7 +30,9 @@ from posetcones import (
     transverse_permutations,
     union_of_chains,
 )
-from posetcones.foata import intercalate_all
+from posetcones.foata import _decompose_indexed, intercalate_all
+from posetcones.genfun import fcyc_distribution
+from posetcones.whitney import poincare_via_foata
 
 RUNNING_TOP = [1, 1, 2, 2, 2, 3, 3, 4, 4, 4]
 RUNNING_BOT = [2, 4, 4, 3, 1, 2, 1, 3, 4, 2]
@@ -236,3 +238,84 @@ def test_enumerate_multiset_perms():
     for a in [(2, 2), (1, 1, 2), (3, 2)]:
         assert len(list(enumerate_multiset_perms(a))) == count_linear_extensions(
             union_of_chains(a))
+
+
+# -- oracles for the circuit walker ------------------------------------------
+
+def _compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def _all_words(a):
+    """Every bottom word with support a, from itertools, not from the library."""
+    letters = [j for j, m in enumerate(a, start=1) for _ in range(m)]
+    return sorted(set(permutations(letters)))
+
+
+def _reference_circuits(sigma):
+    """The factorization walk spelled out: restart at the smallest letter with
+    columns left, follow the leftmost unused column of each letter, cut the
+    first circuit that closes."""
+    cols = sigma.columns
+    used = [False] * len(cols)
+    circuits = []
+    while not all(used):
+        start = min(t for (t, _), u in zip(cols, used) if not u)
+        path, steps, v = [start], [], start
+        while True:
+            idx = next(i for i, (t, _) in enumerate(cols) if t == v and not used[i])
+            steps.append(idx)
+            v = cols[idx][1]
+            if v in path:
+                circuit = steps[path.index(v):]
+                for i in circuit:
+                    used[i] = True
+                circuits.append(circuit)
+                break
+            path.append(v)
+    return circuits
+
+
+def test_every_small_word_factors_into_primes_that_intercalate_back():
+    for total in range(7):
+        for a in _compositions(total):
+            for w in _all_words(a):
+                sigma = MultisetPermutation.from_word(w, support=a)
+                factors = prime_decompose(sigma)
+                assert all(is_prime(f) for f in factors), w
+                assert intercalate_all(factors) == sigma, w
+
+
+def test_walker_matches_the_spelled_out_walk():
+    for total in range(7):
+        for a in _compositions(total):
+            for w in _all_words(a):
+                sigma = MultisetPermutation.from_word(w, support=a)
+                assert _decompose_indexed(sigma) == _reference_circuits(sigma), w
+
+
+def test_large_and_sparse_letters_factor_like_their_ranks():
+    rng = random.Random(131)
+    for _ in range(200):
+        ell = rng.randint(1, 5)
+        w = [rng.randint(1, ell) for _ in range(rng.randint(1, 8))]
+        letters = set()
+        while len(letters) < ell:
+            letters.add(rng.randrange(1, 10**21))
+        letters = sorted(letters)
+        big = MultisetPermutation.from_word([letters[x - 1] for x in w])
+        assert _decompose_indexed(big) == _reference_circuits(big)
+        assert fcyc(big) == fcyc(MultisetPermutation.from_word(w))
+    assert fcyc(parse_multiset_perm("99999999999999999999")) == 1
+
+
+def test_route_reversed_is_the_fcyc_distribution():
+    for total in range(8):
+        for a in _compositions(total):
+            route = poincare_via_foata(a)
+            assert route.reversed_to_degree(total) == fcyc_distribution(a), a

@@ -181,3 +181,8 @@ def test_extension_routes_match_brute_force_sums():
 
 def test_auto_method_sends_antichain_17_to_transverse():
     assert auto_method(antichain(17)) == "transverse"
+
+
+def test_auto_method_sends_antichains_18_to_20_to_transverse():
+    assert auto_method(antichain(18)) == "transverse"
+    assert auto_method(antichain(20)) == "transverse"
