@@ -6,6 +6,10 @@ and concatenating cycles by (quotient level, leading element).  psi inverts
 it by cutting a linear extension at its poset-left-to-right maxima.  omega is
 the width-2 bijection onto transverse partitions matching chain-crossing
 descents with two-element blocks.
+
+Comparability is read off the bit-packed rows P._up / P._down, never pair
+by pair: level_decompose is one pass over level masks, and phi builds the
+cycles and the quotient of their partition once, peeling minimal blocks.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from .errors import (
 )
 from .partitions import (
     SetPartition,
+    _min_mask,
     check_transverse,
     enumerate_transverse,
-    quotient_preposet,
 )
-from .posets import Poset, is_linear_extension
+from .posets import Poset, _label_mask, is_linear_extension
 
 
 class Permutation:
@@ -161,73 +165,54 @@ def transverse_permutations(P: Poset):
             yield Permutation.from_cycles(P.n, combo)
 
 
-def _quotient_level_list(P, pi):
-    """Longest-chain height of each block in the quotient (1-based levels)."""
-    Q = quotient_preposet(P, pi)
-    k = Q.k
-    memo = {}
-
-    def height(b):
-        got = memo.get(b)
-        if got is not None:
-            return got
-        best = 1
-        for a in range(k):
-            if a != b and Q.rel[a] >> b & 1:
-                h = height(a) + 1
-                if h > best:
-                    best = h
-        memo[b] = best
-        return best
-
-    return [height(b) for b in range(k)]
+def _quotient_levels(P, pi):
+    """Quotient level of each block (longest chain ending there, 1-based) and
+    the label mask of each level (index 0 empty), peeling the minimal blocks
+    of the closed quotient; NotTransverse if pi is not transverse."""
+    masks, rel = check_transverse(P, pi)
+    level = [0] * len(rel)
+    level_masks = [0]
+    rem = (1 << len(rel)) - 1
+    while rem:
+        layer = rem
+        for a, row in enumerate(rel):
+            if rem >> a & 1:
+                layer &= ~row | 1 << a  # drop what lies strictly above a
+        level_masks.append(0)
+        for a, m in enumerate(masks):
+            if layer >> a & 1:
+                level[a] = len(level_masks) - 1
+                level_masks[-1] |= m
+        rem &= ~layer
+    return level, level_masks
 
 
 def levels_of_permutation(P: Poset, tau: Permutation):
     """Block -> quotient level of the cycle partition; NotTransverse if that
     partition is not transverse."""
     pi = tau.cycle_partition()
-    check_transverse(P, pi)
-    lv = _quotient_level_list(P, pi)
-    return {blk: lv[bi] for bi, blk in enumerate(pi.blocks)}
+    level, _ = _quotient_levels(P, pi)
+    return dict(zip(pi.blocks, level))
 
 
 def phi(P: Poset, tau: Permutation):
     """Standard-form word: each cycle written from its leading essential
-    element, cycles sorted by (level, leading element)."""
-    level = {}
-    for blk, lv in levels_of_permutation(P, tau).items():
-        for x in blk:
-            level[x] = lv
-    n = P.n
-    essential = _essential_set(P, level)
+    element, cycles sorted by (level, leading element).  An element is
+    essential on level one, or when it lies above something one level down."""
+    cycles = tau.cycles()
+    # cycles are sorted by smallest element, as the partition's blocks are
+    level, level_masks = _quotient_levels(P, SetPartition(tau.n, cycles))
+    down = P._down
     keyed = []
-    for cyc in tau.cycles():
-        ess = [x for x in cyc if x in essential]
-        if not ess:
+    for cyc, lv in zip(cycles, level):
+        below = level_masks[lv - 1]
+        lead = max((x for x in cyc if lv == 1 or down[x - 1] & below), default=0)
+        if not lead:
             raise NotTransverse(f"cycle {cyc} has no essential element")
-        lead = max(ess)
         at = cyc.index(lead)
-        word = cyc[at:] + cyc[:at]
-        keyed.append(((level[lead], lead), word))
-    keyed.sort(key=lambda kw: kw[0])
-    out = []
-    for _, word in keyed:
-        out.extend(word)
-    return tuple(out)
-
-
-def _essential_set(P, level):
-    ess = set()
-    for x, lx in level.items():
-        if lx == 1:
-            ess.add(x)
-            continue
-        for y, ly in level.items():
-            if ly == lx - 1 and P.less(y, x):
-                ess.add(x)
-                break
-    return ess
+        keyed.append(((lv, lead), cyc[at:] + cyc[:at]))
+    # the keys are distinct, so the words never decide the order
+    return tuple(x for _, word in sorted(keyed) for x in word)
 
 
 class LeveledExtension:
@@ -253,37 +238,34 @@ def level_decompose(P: Poset, sigma) -> LeveledExtension:
     """Levels are maximal antichain prefixes read greedily left to right; an
     element is essential on level one, or when it lies above something one
     level down; the LR maxima are the running maxima of the essential
-    subsequence within each level."""
+    subsequence within each level.  One pass, carrying the label masks of the
+    current and the previous level."""
     word = tuple(sigma)
     if not is_linear_extension(P, word):
         raise NotLinearExtension(f"{list(word)} is not a linear extension")
+    down = P._down
     levels = []
+    level_of = {}
+    essential = set()
+    plr_max = []
     cur = []
+    cur_mask = prev_mask = runm = 0
     for x in word:
-        if any(P.less(y, x) for y in cur):
+        row = down[x - 1]
+        if row & cur_mask:
             levels.append(tuple(cur))
-            cur = [x]
-        else:
-            cur.append(x)
+            cur = []
+            prev_mask, cur_mask, runm = cur_mask, 0, 0
+        cur.append(x)
+        cur_mask |= 1 << (x - 1)
+        level_of[x] = len(levels) + 1
+        if not levels or row & prev_mask:
+            essential.add(x)
+            if x > runm:
+                plr_max.append(x)
+                runm = x
     if cur:
         levels.append(tuple(cur))
-    level_of = {}
-    for li, lv in enumerate(levels, start=1):
-        for x in lv:
-            level_of[x] = li
-    essential = set()
-    for li, lv in enumerate(levels, start=1):
-        for x in lv:
-            if li == 1 or any(P.less(y, x) for y in levels[li - 2]):
-                essential.add(x)
-    plr_max = []
-    for lv in levels:
-        runm = 0
-        for x in lv:
-            if x in essential:
-                if x > runm:
-                    plr_max.append(x)
-                    runm = x
     return LeveledExtension(word, tuple(levels), level_of, frozenset(essential), tuple(plr_max))
 
 
@@ -317,20 +299,14 @@ def des_p1p2(P: Poset, d, sigma) -> int:
     word = tuple(sigma)
     if not is_linear_extension(P, word):
         raise NotLinearExtension(f"{list(word)} is not a linear extension")
+    up, down = P._up, P._down
     k = 0
     for i in range(len(word) - 1):
         x, y = word[i], word[i + 1]
-        if d.side(x) == 2 and d.side(y) == 1 and not P.comparable(x, y):
+        if (d.side(x) == 2 and d.side(y) == 1
+                and not (up[x - 1] | down[x - 1]) >> (y - 1) & 1):
             k += 1
     return k
-
-
-def _alive_minima(P, alive):
-    out = []
-    for v in range(P.n):
-        if alive >> v & 1 and not P._down[v] & alive:
-            out.append(v + 1)
-    return out
 
 
 def omega(P: Poset, d, sigma) -> SetPartition:
@@ -340,18 +316,19 @@ def omega(P: Poset, d, sigma) -> SetPartition:
     if not is_linear_extension(P, word):
         raise NotLinearExtension(f"{list(word)} is not a linear extension")
     n = P.n
+    side1 = _label_mask(d.p1)
     blocks = []
     alive = (1 << n) - 1
     idx = 0
     while idx < n:
-        mins = _alive_minima(P, alive)
-        if len(mins) == 1:
+        mins = _min_mask(P._down, alive)
+        if not mins & (mins - 1):
             m = word[idx]
             blocks.append((m,))
             alive &= ~(1 << (m - 1))
             idx += 1
             continue
-        p1 = next(m for m in mins if d.side(m) == 1)
+        p1 = (mins & side1).bit_length()
         if word[idx] == p1:
             blocks.append((p1,))
             alive &= ~(1 << (p1 - 1))
@@ -378,6 +355,7 @@ def omega_inv(P: Poset, d, pi: SetPartition):
     for blk in pi.blocks:
         for x in blk:
             block_of[x] = blk
+    side1 = _label_mask(d.p1)
     word = []
     alive = (1 << P.n) - 1
 
@@ -387,14 +365,14 @@ def omega_inv(P: Poset, d, pi: SetPartition):
         alive &= ~(1 << (x - 1))
 
     while alive:
-        mins = _alive_minima(P, alive)
-        if len(mins) == 1:
-            m = mins[0]
+        mins = _min_mask(P._down, alive)
+        if not mins & (mins - 1):
+            m = mins.bit_length()
             if block_of[m] != (m,):
                 raise NotTransverse(f"block of {m} pairs across a level")
             emit(m)
             continue
-        p1 = next(m for m in mins if d.side(m) == 1)
+        p1 = (mins & side1).bit_length()
         blk = block_of[p1]
         if blk == (p1,):
             emit(p1)

@@ -257,6 +257,8 @@ def cmd_roots(args):
 def cmd_selfcheck(args):
     if args.n_max < 1:
         raise ParseError("--n-max must be at least 1")
+    if args.trials < 0:
+        raise ParseError("--trials must be at least 0")
     rng = random.Random(args.seed)
     probs = [round(0.1 * k, 1) for k in range(1, 10)]
     fails = []

@@ -31,7 +31,7 @@ from math import factorial
 
 from .errors import IndexOutOfRange, NotTransverse, ParseError
 from .genfun import stirling_first_kind_row
-from .posets import Poset, is_antichain
+from .posets import Poset
 
 
 class SetPartition:
@@ -151,41 +151,61 @@ class Preposet:
         return True
 
 
+def _quotient_rows(P: Poset, pi: SetPartition):
+    """Label mask of each block, whether every block is an antichain (its up
+    rows miss its own mask), and the quotient rows: block a relates to block
+    b when the OR of a's up rows hits b's mask, closed reflexively and
+    transitively."""
+    if pi.n != P.n:
+        raise IndexOutOfRange("partition size differs from poset size")
+    up = P._up
+    masks = []
+    ups = []
+    for blk in pi.blocks:
+        m = u = 0
+        for x in blk:
+            m |= 1 << (x - 1)
+            u |= up[x - 1]
+        masks.append(m)
+        ups.append(u)
+    rel = []
+    for a, u in enumerate(ups):
+        row = 1 << a
+        for b, m in enumerate(masks):
+            if u & m:
+                row |= 1 << b
+        rel.append(row)
+    for m in range(len(rel)):
+        mbit = 1 << m
+        mrow = rel[m]
+        if mrow == mbit:
+            continue  # nothing above block m to pass on
+        for a in range(len(rel)):
+            if rel[a] & mbit:
+                rel[a] |= mrow
+    return masks, not any(u & m for u, m in zip(ups, masks)), rel
+
+
 def quotient_preposet(P: Poset, pi: SetPartition) -> Preposet:
     """Blocks related when some representatives are; closed reflexively
     and transitively."""
-    if pi.n != P.n:
-        raise IndexOutOfRange("partition size differs from poset size")
-    k = len(pi.blocks)
-    owner = {}
-    for idx, blk in enumerate(pi.blocks):
-        for x in blk:
-            owner[x] = idx
-    rel = [1 << a for a in range(k)]
-    for i, j in P.relations():
-        rel[owner[i]] |= 1 << owner[j]
-    for m in range(k):
-        mbit = 1 << m
-        mrow = rel[m]
-        for a in range(k):
-            if rel[a] & mbit:
-                rel[a] |= mrow
-    return Preposet(k, rel)
+    rel = _quotient_rows(P, pi)[2]
+    return Preposet(len(rel), rel)
 
 
 def is_transverse(P: Poset, pi: SetPartition) -> bool:
     """Antichain blocks plus antisymmetric quotient."""
-    if pi.n != P.n:
-        raise IndexOutOfRange("partition size differs from poset size")
-    for blk in pi.blocks:
-        if not is_antichain(P, blk):
-            return False
-    return quotient_preposet(P, pi).is_antisymmetric()
+    _, antichains, rel = _quotient_rows(P, pi)
+    return antichains and Preposet(len(rel), rel).is_antisymmetric()
 
 
-def check_transverse(P: Poset, pi: SetPartition) -> None:
-    if not is_transverse(P, pi):
+def check_transverse(P: Poset, pi: SetPartition):
+    """NotTransverse unless pi is transverse; returns the block masks and the
+    closed quotient rows."""
+    masks, antichains, rel = _quotient_rows(P, pi)
+    if not (antichains and Preposet(len(rel), rel).is_antisymmetric()):
         raise NotTransverse(f"{partition_to_text(pi)} is not transverse")
+    return masks, rel
 
 
 # -- layered enumeration ------------------------------------------------------

@@ -330,8 +330,9 @@ class ChainDecomposition:
             raise WidthExceeded("parts must partition {1..n}")
         for part in (s1, s2):
             for i in part:
+                comparable = P._up[i - 1] | P._down[i - 1]
                 for j in part:
-                    if i < j and not P.comparable(i, j):
+                    if i < j and not comparable >> (j - 1) & 1:
                         raise WidthExceeded(f"part is not a chain: {i} and {j} incomparable")
         self.p1 = _chain_order(P, s1)
         self.p2 = _chain_order(P, s2)
@@ -346,7 +347,13 @@ class ChainDecomposition:
 
 
 def _chain_order(P, part):
-    return tuple(sorted(part, key=lambda x: sum(1 for y in part if y != x and P.less(y, x))))
+    mask = _label_mask(part)
+    return tuple(sorted(part, key=lambda x: (P._down[x - 1] & mask).bit_count()))
+
+
+def _label_mask(labels):
+    """Bit mask of distinct labels."""
+    return sum(1 << (x - 1) for x in labels)
 
 
 def chain_cover_width2(P: Poset) -> ChainDecomposition:
@@ -360,12 +367,12 @@ def chain_cover_width2(P: Poset) -> ChainDecomposition:
 
 
 def is_antichain(P: Poset, S) -> bool:
-    S = list(S)
-    for idx, i in enumerate(S):
-        for j in S[idx + 1:]:
-            if P.comparable(i, j):
-                return False
-    return True
+    """No two labels of S comparable; IndexOutOfRange outside 1..n."""
+    S = set(S)
+    for i in S:
+        P._check_label(i)
+    mask = _label_mask(S)
+    return not any(P._up[i - 1] & mask for i in S)
 
 
 def disjoint_chain_lengths(P: Poset):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import islice, permutations
 from math import factorial
 
 import pytest
@@ -11,6 +12,7 @@ from posetcones import (
     NotTransverse,
     ParseError,
     Permutation,
+    Poset,
     SetPartition,
     antichain,
     chain,
@@ -20,6 +22,8 @@ from posetcones import (
     enumerate_transverse,
     grid,
     is_antichain,
+    is_linear_extension,
+    is_transverse,
     level_decompose,
     levels_of_permutation,
     linear_extensions,
@@ -31,6 +35,7 @@ from posetcones import (
     phi,
     poset_from_relations,
     psi,
+    quotient_preposet,
     random_poset,
     transverse_permutations,
     union_of_chains,
@@ -247,3 +252,183 @@ def test_omega_inv_rejects_foreign_partitions():
         omega_inv(P, d, SetPartition(4, [(1, 2), (3,), (4,)]))
     with pytest.raises(IndexOutOfRange):
         omega_inv(P, d, SetPartition(3, [(1,), (2,), (3,)]))
+
+
+# -- the mask core against per-pair versions ------------------------------------
+
+def _pairwise_level_decompose(P, word):
+    """level_decompose spelled out with one P.less call per pair."""
+    if not is_linear_extension(P, word):
+        raise NotLinearExtension(word)
+    levels, cur = [], []
+    for x in word:
+        if any(P.less(y, x) for y in cur):
+            levels.append(tuple(cur))
+            cur = [x]
+        else:
+            cur.append(x)
+    if cur:
+        levels.append(tuple(cur))
+    level_of = {x: li for li, lv in enumerate(levels, start=1) for x in lv}
+    essential = {
+        x for li, lv in enumerate(levels, start=1) for x in lv
+        if li == 1 or any(P.less(y, x) for y in levels[li - 2])
+    }
+    plr_max = []
+    for lv in levels:
+        runm = 0
+        for x in lv:
+            if x in essential and x > runm:
+                plr_max.append(x)
+                runm = x
+    return tuple(levels), level_of, frozenset(essential), tuple(plr_max)
+
+
+def _pairwise_is_transverse(P, pi):
+    """Pairwise antichain blocks plus a quotient built from P.relations()."""
+    blocks = pi.blocks
+    for blk in blocks:
+        if any(P.comparable(x, y) for x in blk for y in blk):
+            return False
+    owner = {x: b for b, blk in enumerate(blocks) for x in blk}
+    rel = {(b, b) for b in range(len(blocks))}
+    rel |= {(owner[i], owner[j]) for i, j in P.relations()}
+    changed = True
+    while changed:
+        extra = {(a, d) for a, b in rel for c, d in rel if b == c} - rel
+        changed = bool(extra)
+        rel |= extra
+    return all(a == b or (b, a) not in rel for a, b in rel)
+
+
+def _pairwise_phi(P, tau):
+    """phi spelled out: quotient levels by longest chains of the relation
+    built from P.relations(), essential elements by P.less."""
+    cycles = tau.cycles()
+    pi = SetPartition(tau.n, cycles)
+    if not _pairwise_is_transverse(P, pi):
+        raise NotTransverse(cycles)
+    owner = {x: b for b, blk in enumerate(pi.blocks) for x in blk}
+    below = {b: set() for b in range(len(cycles))}
+    for i, j in P.relations():
+        if owner[i] != owner[j]:
+            below[owner[j]].add(owner[i])
+
+    def height(b):
+        return 1 + max((height(a) for a in below[b]), default=0)
+
+    level = {x: height(owner[x]) for x in owner}
+    keyed = []
+    for cyc in cycles:
+        ess = [x for x in cyc if level[x] == 1 or any(
+            level[y] == level[x] - 1 and P.less(y, x) for y in owner)]
+        if not ess:
+            raise NotTransverse(cyc)
+        lead = max(ess)
+        at = cyc.index(lead)
+        keyed.append(((level[lead], lead), cyc[at:] + cyc[:at]))
+    keyed.sort(key=lambda kw: kw[0])
+    return tuple(x for _, word in keyed for x in word)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotLinearExtension, NotTransverse) as exc:
+        return type(exc)
+
+
+def _check_against_pairwise(P, words):
+    for w in words:
+        le = level_decompose(P, w)
+        assert (le.levels, le.level_of, le.essential, le.plr_max) == \
+            _pairwise_level_decompose(P, w)
+        assert le.word == w
+        tau = psi(P, w)
+        assert phi(P, tau) == _pairwise_phi(P, tau) == w
+        assert is_transverse(P, tau.cycle_partition())
+        assert lrmax_count(P, w) == len(le.plr_max) == tau.cycle_count()
+
+
+def test_mask_core_matches_pairwise_versions_on_random_posets():
+    rng = random.Random(79)
+    for _ in range(210):
+        n = rng.randint(0, 8)
+        P = random_poset(n, rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]), rng)
+        _check_against_pairwise(P, list(islice(linear_extensions(P), 60)))
+
+
+def test_mask_core_matches_pairwise_versions_on_every_permutation():
+    rng = random.Random(83)
+    for _ in range(60):
+        n = rng.randint(0, 5)
+        P = random_poset(n, rng.choice([0.1, 0.3, 0.5, 0.7]), rng)
+        for images in permutations(range(1, n + 1)):
+            tau = Permutation(images)
+            assert _outcome(phi, P, tau) == _outcome(_pairwise_phi, P, tau)
+            pi = tau.cycle_partition()
+            assert is_transverse(P, pi) == _pairwise_is_transverse(P, pi)
+            # the one-line images read as a word: extension or not
+            got = _outcome(level_decompose, P, images)
+            want = _outcome(_pairwise_level_decompose, P, images)
+            if got is NotLinearExtension:
+                assert want is NotLinearExtension
+            else:
+                assert (got.levels, got.level_of, got.essential, got.plr_max) == want
+
+
+def test_transverse_check_sees_a_cycle_through_three_blocks():
+    # 1 < 2, 5 < 3, 6 < 4: blocks {1,4} -> {2,5} -> {3,6} -> {1,4}, each an
+    # antichain, and no two blocks related both ways before closure
+    P = poset_from_relations(6, [(1, 2), (5, 3), (6, 4)])
+    tau = parse_permutation("(1,4)(2,5)(3,6)")
+    pi = tau.cycle_partition()
+    assert not _pairwise_is_transverse(P, pi)
+    assert not is_transverse(P, pi)
+    assert quotient_preposet(P, pi).rel == (0b111, 0b111, 0b111)
+    with pytest.raises(NotTransverse):
+        phi(P, tau)
+    with pytest.raises(NotTransverse):
+        levels_of_permutation(P, tau)
+
+
+# -- work guard: the hot path asks no pairwise queries --------------------------
+
+def test_bijection_core_makes_no_pairwise_queries(monkeypatch):
+    P = ex_phi_poset()
+    P212 = poset_from_relations(4, [(1, 2), (3, 4)])
+    W2 = poset_from_relations(5, [(1, 2), (3, 4), (1, 4), (4, 5)])
+
+    def refuse(*args):
+        raise AssertionError("pairwise poset query on the mask path")
+
+    monkeypatch.setattr(Poset, "less", refuse)
+    monkeypatch.setattr(Poset, "comparable", refuse)
+
+    word = (4, 9, 13, 1, 7, 11, 3, 6, 5, 8, 2, 12, 10)
+    tau = parse_permutation("(4)(6,3)(9)(10)(11,7)(12,5,8,2)(13,1)")
+    le = level_decompose(P, word)
+    assert le.levels == ((4, 9, 13, 1), (7, 11), (3, 6, 5, 8, 2, 12), (10,))
+    assert le.plr_max == (4, 9, 13, 7, 3, 5, 10)
+    assert psi(P, word) == parse_permutation("(4)(9)(13,1)(7,11)(3,6)(5,8,2,12)(10)")
+    assert phi(P, tau) == word
+    assert lrmax_count(P, word) == 7
+    assert is_transverse(P, tau.cycle_partition())
+    assert not is_transverse(P, SetPartition(13, [(1, 6)] + [(x,) for x in
+                                                            range(2, 14) if x != 6]))
+    with pytest.raises(NotTransverse):
+        phi(chain(2), Permutation([2, 1]))
+
+    d = chain_cover_width2(P212)
+    assert sorted(des_p1p2(P212, d, w) for w in linear_extensions(P212)) == [
+        0, 1, 1, 1, 1, 2]
+    d = chain_cover_width2(W2)
+    exts = list(linear_extensions(W2))
+    assert len(exts) == 7
+    partitions = set()
+    for w in exts:
+        pi = omega(W2, d, w)
+        assert omega_inv(W2, d, pi) == w
+        assert sum(1 for b in pi.blocks if len(b) == 2) == des_p1p2(W2, d, w)
+        partitions.add(pi)
+    assert partitions == set(enumerate_transverse(W2))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import posetcones
-from posetcones import IntPolynomial, whitney
+from posetcones import IntPolynomial, bijections, whitney
 from posetcones.cli import main
 
 EX_211 = "n 4\nrel 3 4\n"
@@ -131,6 +131,17 @@ def test_genfun_negative_degree_exit_2():
 def test_selfcheck_n_max_zero_exit_2():
     code, err = run_process("selfcheck", "--n-max", "0")
     assert code == 2 and "Traceback" not in err
+
+
+def test_selfcheck_negative_trials_exit_2():
+    code, err = run_process("selfcheck", "--trials", "-1")
+    assert code == 2 and "Traceback" not in err
+    assert "--trials" in err
+
+
+def test_selfcheck_zero_trials_still_passes(capsys):
+    code, out, _ = run(capsys, "selfcheck", "--trials", "0", "--machine")
+    assert (code, out) == (0, "PASS\n")
 
 
 def test_linext_listing(tmp_path, capsys):
@@ -361,6 +372,26 @@ def test_selfcheck_failure_names_first_differing_coefficient(capsys, monkeypatch
     for line in fails:
         assert "transverse != lrmax at t^1: " in line
     assert "transverse != lrmax at t^1: 5 vs 6" in out
+
+
+def test_selfcheck_catches_planted_bijection_corruption(capsys, monkeypatch):
+    real = bijections.phi
+
+    def corrupted(P, tau):
+        word = real(P, tau)
+        if P.n == 4:
+            return (word[1], word[0]) + word[2:]
+        return word
+
+    monkeypatch.setattr(bijections, "phi", corrupted)
+    code, out, _ = run(capsys, "selfcheck", "--n-max", "5", "--trials", "25",
+                       "--seed", "7")
+    assert code == 4
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fails
+    for line in fails:
+        assert "(n=4," in line and ": phi(psi(w)) != w for (" in line
+    assert out.splitlines()[-1] == "FAIL"
 
 
 def test_cli_import_starts_no_process_machinery():

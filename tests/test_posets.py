@@ -184,6 +184,45 @@ def test_is_antichain():
     assert is_antichain(P, set())
 
 
+@pytest.mark.parametrize("labels", [{99}, {0}, {1, 99}, {-1}, [4, 4]])
+def test_is_antichain_rejects_out_of_range_labels(labels):
+    with pytest.raises(IndexOutOfRange):
+        is_antichain(chain(3), labels)
+
+
+def test_is_antichain_counts_a_repeated_label_once():
+    assert is_antichain(chain(3), [2, 2])
+    assert not is_antichain(chain(3), [2, 2, 3])
+
+
+def _pairwise_chain_decomposition(P, part1, part2):
+    """The chain test and chain order spelled out with P.comparable / P.less."""
+    s1, s2 = frozenset(part1), frozenset(part2)
+    for part in (s1, s2):
+        for i in part:
+            for j in part:
+                if i < j and not P.comparable(i, j):
+                    return f"part is not a chain: {i} and {j} incomparable"
+    return tuple(
+        tuple(sorted(part, key=lambda x: sum(1 for y in part if y != x and P.less(y, x))))
+        for part in (s1, s2))
+
+
+def test_chain_decomposition_matches_pairwise_version():
+    for n in range(5):
+        for P in all_labeled_posets(n):
+            for split in range(1 << n):
+                part1 = [x for x in range(1, n + 1) if split >> (x - 1) & 1]
+                part2 = [x for x in range(1, n + 1) if not split >> (x - 1) & 1]
+                want = _pairwise_chain_decomposition(P, part1, part2)
+                try:
+                    d = ChainDecomposition(P, part1, part2)
+                except WidthExceeded as exc:
+                    assert str(exc) == want
+                else:
+                    assert (d.p1, d.p2) == want
+
+
 def test_chain_cover_width2():
     for P in (grid(2, 4), union_of_chains((2, 3)), chain(5), antichain(2)):
         d = chain_cover_width2(P)
