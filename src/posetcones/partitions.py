@@ -31,7 +31,7 @@ from math import factorial
 
 from .errors import IndexOutOfRange, NotTransverse, ParseError
 from .genfun import stirling_first_kind_row
-from .posets import Poset
+from .posets import Poset, _bits
 
 
 class SetPartition:
@@ -228,7 +228,7 @@ def _layer_choices(min_mask, forbidden):
 
     Returns a list of (S_mask, blocks), blocks a tuple of sorted label tuples.
     """
-    elems = [low.bit_length() - 1 for low in _low_bits(min_mask)]
+    elems = list(_bits(min_mask))
     out = []
 
     def rec(idx, blocks, masks):
@@ -255,13 +255,6 @@ def _layer_choices(min_mask, forbidden):
 
     rec(0, [], [])
     return out
-
-
-def _low_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def enumerate_transverse(P: Poset):

@@ -69,9 +69,6 @@ class Poset:
     def minimal_elements(self):
         return [i + 1 for i in range(self.n) if not self._down[i]]
 
-    def maximal_elements(self):
-        return [i + 1 for i in range(self.n) if not self._up[i]]
-
     def _check_label(self, i):
         if not 1 <= i <= self.n:
             raise IndexOutOfRange(f"label {i} outside 1..{self.n}")

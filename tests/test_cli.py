@@ -329,6 +329,18 @@ def test_selfcheck_passes_and_is_deterministic(capsys):
     assert (code, out3) == (0, "PASS\n")
 
 
+def test_selfcheck_does_not_recount_lr_maxima(capsys, monkeypatch):
+    # psi cuts before each LR maximum, so the cycle count needs no recount
+    def forbidden(P, w):
+        raise AssertionError("selfcheck called lrmax_count")
+
+    monkeypatch.setattr(bijections, "lrmax_count", forbidden)
+    code, out, _ = run(capsys, "selfcheck", "--n-max", "5", "--trials", "25",
+                       "--seed", "7")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
+
+
 def test_selfcheck_is_worker_invariant(capsys):
     base = ["selfcheck", "--n-max", "5", "--trials", "8", "--seed", "11"]
     code, out1, _ = run(capsys, *base)

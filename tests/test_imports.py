@@ -1,0 +1,63 @@
+"""Unused-import check for the library modules, written on the stdlib `ast`."""
+
+import ast
+from pathlib import Path
+
+import posetcones
+
+PACKAGE = Path(posetcones.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """(line, name) for each imported name that the module never reads.
+
+    A name counts as read when it appears as a bare name anywhere in the
+    module, including inside functions and annotations.  `__future__`
+    imports and star imports are skipped.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound.append((node.lineno, alias.asname or alias.name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_modules_are_found():
+    names = {p.name for p in MODULES}
+    assert {"whitney.py", "partitions.py", "cli.py"} <= names
+    assert "__init__.py" not in names
+
+
+def test_no_unused_imports_in_library_modules():
+    found = {p.name: unused_imports(p.read_text()) for p in MODULES}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_planted_unused_import_is_flagged():
+    # negative control: the same check on a real module with one import added
+    source = (PACKAGE / "whitney.py").read_text()
+    assert unused_imports(source) == []
+    planted = "import os\n" + source
+    assert unused_imports(planted) == [(1, "os")]
+    planted = source + "\nfrom .posets import antichain as _unused  # noqa: F401\n"
+    assert [name for _, name in unused_imports(planted)] == ["_unused"]
+
+
+def test_used_and_future_imports_are_not_flagged():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import comb as c\n"
+        "def f(x: c) -> None:\n"
+        "    from .posets import chain\n"
+        "    return os.path.join(chain)\n"
+    )
+    assert unused_imports(source) == []

@@ -30,6 +30,7 @@ from posetcones import (
     union_of_chains,
     whitney_numbers,
 )
+from posetcones import whitney
 from posetcones.whitney import auto_method
 
 
@@ -129,8 +130,11 @@ def test_workers_do_not_change_the_answer():
         assert poincare_via_lrmax(P, workers=1) == poincare_via_lrmax(P, workers=3)
 
 
+DISPATCH_POSETS = (antichain(6), chain(6), grid(2, 5), grid(3, 3))
+
+
 def test_dispatch():
-    for P in (antichain(6), chain(6), grid(2, 5), grid(3, 3)):
+    for P in DISPATCH_POSETS:
         method = auto_method(P)
         assert method in ("transverse", "lrmax")
         assert poincare(P) == poincare_via_transverse(P)
@@ -186,3 +190,28 @@ def test_auto_method_sends_antichain_17_to_transverse():
 def test_auto_method_sends_antichains_18_to_20_to_transverse():
     assert auto_method(antichain(18)) == "transverse"
     assert auto_method(antichain(20)) == "transverse"
+
+
+def test_auto_method_sends_wide_and_deep_posets_to_transverse():
+    # chain-cover bounds 10 321 920 and 2^21: under a 1.5 GB cap the lrmax DP
+    # crashed on the first and took ten times as long on the second
+    assert auto_method(grid(8, 8)) == "transverse"
+    assert auto_method(antichain(21)) == "transverse"
+
+
+def test_auto_dispatch_never_runs_the_lrmax_dp(monkeypatch):
+    def forbidden(P, workers=1):
+        raise AssertionError("poincare(auto) reached the lrmax DP")
+
+    monkeypatch.setattr(whitney, "poincare_via_lrmax", forbidden)
+    for P in DISPATCH_POSETS:
+        assert poincare(P) == poincare_via_transverse(P)
+    # four stacked 10-antichains: a chain-cover bound of 5^10, far above
+    # 2^20, yet cheap for the transverse DP
+    stacked = antichain(10)
+    for _ in range(3):
+        stacked = ordinal_sum(stacked, antichain(10))
+    row = IntPolynomial.one()
+    for k in range(1, 10):
+        row = row * poly(1, k)
+    assert poincare(stacked) == row * row * row * row
