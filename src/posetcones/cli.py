@@ -413,7 +413,9 @@ def build_parser():
 
     p = sub.add_parser("roots", parents=[common],
                        help="count distinct real roots of an integer polynomial")
-    p.add_argument("coeffs", help="ascending coefficients, space or comma separated")
+    p.add_argument("coeffs", help="ascending coefficients, space or comma separated; "
+                                  "put -- before a list that starts with a minus sign, "
+                                  "as in: roots -- -1,0,1")
     p.set_defaults(func=cmd_roots)
 
     return parser

@@ -2,9 +2,9 @@
 
 Series live in Z[t][[x_1..x_ell]] truncated at a total degree cap, stored
 sparsely as exponent tuple -> coefficient polynomial.  The master identity
-inverts 1 minus a bracket-weighted sum of elementary symmetric polynomials;
-geometric summation is exact below the cap because the inverted part has no
-constant term.
+inverts 1 minus a bracket-weighted sum of elementary symmetric polynomials,
+one coefficient at a time in lex order of the exponents: each coefficient of
+the inverse is a sum over coefficients already found.
 """
 
 from __future__ import annotations
@@ -79,15 +79,30 @@ class TruncatedSeries:
         return TruncatedSeries(self.ell, self.cap, out)
 
     def inverse(self):
-        """Geometric inverse; the constant coefficient must be exactly 1."""
-        const = self.terms.get((0,) * self.ell)
-        if const != IntPolynomial.one():
+        """Inverse in one pass; the constant coefficient must be exactly 1.
+
+        With s = 1 - self, g_0 = 1 and g_e = sum_{e' != 0} s_e' g_{e - e'};
+        lex order puts every e - e' before e.
+        """
+        zero = (0,) * self.ell
+        if self.terms.get(zero) != IntPolynomial.one():
             raise ValueError("inverse needs constant coefficient 1")
-        s = TruncatedSeries.one(self.ell, self.cap) - self
-        acc = TruncatedSeries.one(self.ell, self.cap)
-        for _ in range(self.cap):
-            acc = TruncatedSeries.one(self.ell, self.cap) + s * acc
-        return acc
+        s = [(e, [-c for c in p.coeffs]) for e, p in self.terms.items() if e != zero]
+        g = {zero: [1]}
+        for e in _compositions_upto(self.ell, self.cap)[1:]:
+            acc = []
+            for e1, c1 in s:
+                c2 = g.get(tuple(x - y for x, y in zip(e, e1)))
+                if c2:
+                    acc.extend([0] * (len(c1) + len(c2) - 1 - len(acc)))
+                    for i, x in enumerate(c1):
+                        for j, y in enumerate(c2):
+                            acc[i + j] += x * y
+            while acc and acc[-1] == 0:
+                acc.pop()
+            g[e] = acc
+        return TruncatedSeries(self.ell, self.cap,
+                               {e: IntPolynomial(c) for e, c in g.items()})
 
     def coefficient(self, exps) -> IntPolynomial:
         exps = tuple(exps)

@@ -1,13 +1,13 @@
 """Dense univariate polynomials in t over arbitrary-precision signed integers.
 
 Coefficient lists are index = power of t, trailing zeros trimmed, so equality
-is structural.  The exact real-root counter (Sturm chains over Fraction) lives
-here too since it is pure polynomial arithmetic.
+is structural.  The exact real-root counter (a Sturm chain of integer
+pseudo-remainders) lives here too since it is pure polynomial arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError, ZeroPolynomial
 
@@ -155,7 +155,10 @@ class IntPolynomial:
 
 
 def poly_from_machine(text: str) -> IntPolynomial:
-    """Inverse of machine_str; commas tolerated as separators."""
+    """Inverse of machine_str; commas tolerated as separators, but an empty
+    field between commas or at either end is an error."""
+    if "," in text and not all(f.strip() for f in text.split(",")):
+        raise ParseError(f"empty field in coefficient list {text!r}")
     try:
         return IntPolynomial([int(tok) for tok in text.replace(",", " ").split()])
     except ValueError:
@@ -163,77 +166,41 @@ def poly_from_machine(text: str) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Exact real-root counting (Sturm).  All arithmetic over Fraction; the chain
-# is built on the square-free part so roots are counted without multiplicity.
+# Exact real-root counting (Sturm) on plain ints.  Each chain member is a
+# pseudo-remainder scaled by a positive power and divided by its positive
+# content, so its signs match the Sturm chain over Q.
 
-def _trim(cs):
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _deriv(cs):
-    return _trim([Fraction(k) * cs[k] for k in range(1, len(cs))])
-
-
-def _divmod(a, b):
-    """Quotient and remainder of a by b, both nonzero Fraction coefficient
-    lists."""
-    a = list(a)
-    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _trim(a):
-        da = len(a) - 1
-        q = a[-1] / lb
-        out[da - db] = q
-        for i in range(db + 1):
-            a[da - db + i] -= q * b[i]
-        a.pop()
-        _trim(a)
-    return out, a
-
-
-def _gcd(a, b):
-    a, b = list(a), list(b)
-    while _trim(b):
-        a, b = b, _divmod(a, b)[1]
-    return a
-
-
-def _normalized(cs):
-    """Scale by 1/|lead| to keep Fractions small; positive scaling only, the
-    Sturm sign pattern must survive."""
-    lc = abs(cs[-1])
-    return [c / lc for c in cs]
+def _sturm_next(a, b):
+    """-(|lead b|^k * a mod b) divided by its content; [] when b divides a."""
+    db, m = len(b) - 1, abs(b[-1])
+    sb = 1 if b[-1] > 0 else -1
+    while len(a) > db:
+        q, shift = a[-1] * sb, len(a) - 1 - db
+        a = [c * m for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    g = gcd(*a)
+    return [-c // g for c in a]
 
 
 def count_real_roots(p: IntPolynomial) -> int:
     """Number of distinct real roots of p, over all of R.
 
-    Sturm chain on p/gcd(p, p'); sign variations at -inf minus +inf.
+    Sturm chain p, p', ... down to gcd(p, p'); sign variations at -inf minus
+    +inf.  Dividing every member by that gcd changes no variation at +-inf,
+    so a repeated root counts once.
     """
     if not p:
         raise ZeroPolynomial("cannot count roots of the zero polynomial")
-    cs = [Fraction(c) for c in p.coeffs]
-    if len(cs) == 1:
-        return 0
-    g = _gcd(cs, _deriv(cs))
-    if len(g) > 1:
-        cs = _normalized(_divmod(cs, g)[0])
-    chain = [cs, _deriv(cs)]
-    while _trim(list(chain[-1])) and len(chain[-1]) > 1:
-        r = _divmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append(_normalized([-c for c in r]))
-    signs_pos = []
-    signs_neg = []
-    for q in chain:
-        if not q:
-            continue
-        lc = q[-1]
-        s = 1 if lc > 0 else -1
-        signs_pos.append(s)
-        signs_neg.append(s if (len(q) - 1) % 2 == 0 else -s)
+    a = list(p.coeffs)
+    b = [k * c for k, c in enumerate(a)][1:]
+    chain = [a]
+    while b:
+        chain.append(b)
+        a, b = b, _sturm_next(a, b)
+    signs_pos = [1 if q[-1] > 0 else -1 for q in chain]
+    signs_neg = [s if len(q) % 2 else -s for q, s in zip(chain, signs_pos)]
     var = lambda ss: sum(1 for x, y in zip(ss, ss[1:]) if x != y)
     return var(signs_neg) - var(signs_pos)

@@ -318,6 +318,21 @@ def test_roots(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("coeffs", ["1,,2", ",1,2", "1,2,", "1, ,2"])
+def test_roots_empty_field_exit_2(coeffs):
+    code, err = run_process("roots", coeffs)
+    assert code == 2
+    assert err.startswith("error: empty field in coefficient list")
+    assert "Traceback" not in err
+
+
+def test_roots_leading_minus_after_double_dash():
+    src = os.path.dirname(os.path.dirname(posetcones.__file__))
+    proc = subprocess.run([sys.executable, "-m", "posetcones", "roots", "--", "-1,0,1"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "real roots: 2\n", "")
+
+
 def test_selfcheck_passes_and_is_deterministic(capsys):
     argv = ["selfcheck", "--n-max", "5", "--trials", "25", "--seed", "7"]
     code, out1, _ = run(capsys, *argv)
@@ -407,10 +422,12 @@ def test_selfcheck_catches_planted_bijection_corruption(capsys, monkeypatch):
 
 
 def test_cli_import_starts_no_process_machinery():
+    """Neither the process machinery nor the rational-number modules: the
+    exact kernels run on plain ints."""
     src = os.path.dirname(os.path.dirname(posetcones.__file__))
     code = ("import sys, posetcones.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('concurrent', 'multiprocessing'))))")
+            "print(sorted(m for m in sys.modules if m.startswith(("
+            "'concurrent', 'multiprocessing', 'fractions', 'decimal', 'numbers'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from posetcones import (
@@ -145,6 +147,73 @@ def test_fcyc_distribution_small():
     assert fcyc_distribution(()) == poly(1)
     # two letters: words 12, 21; 12 has two unit factors, 21 one pair
     assert fcyc_distribution((1, 1)) == poly(0, 1, 1)
+
+
+def geometric_inverse(series):
+    """The cap-fold inverse that the one-pass inverse replaced: with
+    s = 1 - series, acc <- 1 + s * acc, cap times."""
+    one = TruncatedSeries.one(series.ell, series.cap)
+    s = one - series
+    acc = one
+    for _ in range(series.cap):
+        acc = one + s * acc
+    return acc
+
+
+def rhs_bodies(ell, cap):
+    """The series that chains_gf_rhs and tmmt_rhs invert."""
+    chains = tmmt = TruncatedSeries.one(ell, cap)
+    for j in range(1, min(ell, cap) + 1):
+        e_j = elementary_symmetric(ell, j, cap)
+        chains = chains - e_j.scaled(falling_bracket(j))
+        tmmt = tmmt + e_j.scaled(mmt_bracket(j))
+    return chains, tmmt
+
+
+def test_inverse_matches_geometric_oracle_on_rhs_bodies():
+    for ell in range(5):
+        for cap in range(9):
+            chains, tmmt = rhs_bodies(ell, cap)
+            want_chains = geometric_inverse(chains)
+            assert chains.inverse() == want_chains == chains_gf_rhs(ell, cap), (ell, cap)
+            want_tmmt = geometric_inverse(tmmt)
+            assert tmmt.inverse() == want_tmmt == tmmt_rhs(ell, cap), (ell, cap)
+
+
+def test_inverse_matches_geometric_oracle_on_random_series():
+    """Constant 1, lower terms at exponents up to 2 in each variable and
+    coefficients in {-1, 0, 1}, so that many integer coefficients of the
+    inverse cancel to 0."""
+    rng = random.Random(1967)
+    cancelled = 0
+    for _ in range(300):
+        ell, cap = rng.randint(1, 3), rng.randint(1, 6)
+        series = TruncatedSeries.one(ell, cap)
+        for _ in range(rng.randint(1, 5)):
+            exps = tuple(rng.randint(0, 2) for _ in range(ell))
+            if any(exps):
+                coeffs = [rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]
+                series = series + TruncatedSeries.monomial(ell, cap, exps, IntPolynomial(coeffs))
+        inv = series.inverse()
+        assert inv == geometric_inverse(series)
+        assert series * inv == TruncatedSeries.one(ell, cap)
+        # with every lower coefficient made -|c| nothing cancels: count the
+        # coefficients that are nonzero there and 0 in the inverse
+        unsigned = TruncatedSeries(ell, cap, {
+            e: p if not any(e) else IntPolynomial([-abs(c) for c in p.coeffs])
+            for e, p in series.terms.items()})
+        cancelled += sum(inv.coefficient(e).coefficient(k) == 0
+                         for e, p in unsigned.inverse().terms.items()
+                         for k in range(len(p.coeffs)))
+    assert cancelled >= 100
+
+
+@pytest.mark.parametrize("const", [(), (2,), (-1,), (1, 1), (0, 1)])
+def test_inverse_needs_unit_constant(const):
+    series = TruncatedSeries.monomial(2, 3, (1, 0)) + TruncatedSeries(
+        2, 3, {(0, 0): IntPolynomial(const)})
+    with pytest.raises(ValueError):
+        series.inverse()
 
 
 @pytest.mark.parametrize("build", [chains_gf_rhs, tmmt_rhs, verify_chains_gf])
