@@ -24,7 +24,12 @@ from .foata import (
     parse_multiset_perm,
     prime_decompose,
 )
-from .genfun import chains_gf_rhs, stirling_row_check, verify_chains_gf
+from .genfun import (
+    chains_gf_rhs,
+    stirling_row_check,
+    stirling_row_matches,
+    verify_chains_gf,
+)
 from .partitions import parse_partition, partition_to_text
 from .polynomials import count_real_roots, poly_from_machine
 from .posets import (
@@ -223,8 +228,9 @@ def cmd_genfun(args):
     from .posets import antichain
     from .whitney import poincare_via_lrmax
 
-    ok = stirling_row_check(args.n)
-    print(_poly_text(poincare_via_lrmax(antichain(args.n)), args.machine))
+    poly = poincare_via_lrmax(antichain(args.n))
+    ok = stirling_row_matches(poly, args.n)
+    print(_poly_text(poly, args.machine))
     if not args.machine:
         print("stirling row check: " + ("ok" if ok else "FAILED"))
     return 0 if ok else 4

@@ -241,13 +241,17 @@ def _cycle_count_census(n):
 
 
 def stirling_row_check(n) -> bool:
-    """True when the antichain cone polynomial equals prod (1 + kt) and its
-    reversed coefficients match the cycle-count row (census up to n = 7, the
-    two-term recurrence beyond)."""
+    """`stirling_row_matches` on the lrmax DP's antichain polynomial."""
     from .posets import antichain
     from .whitney import poincare_via_lrmax
 
-    got = poincare_via_lrmax(antichain(n))
+    return stirling_row_matches(poincare_via_lrmax(antichain(n)), n)
+
+
+def stirling_row_matches(got: IntPolynomial, n) -> bool:
+    """True when `got` equals prod (1 + kt) and its reversed coefficients
+    match the cycle-count row (census up to n = 7, the two-term recurrence
+    beyond)."""
     prod = IntPolynomial.one()
     for k in range(1, n):
         prod = prod * IntPolynomial([1, k])

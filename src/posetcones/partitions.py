@@ -22,6 +22,10 @@ whose cycles each hold a free label, with t marking size minus cycle count.
 Permutations of the free labels give the Stirling sum; each forbidden label
 is then inserted after an existing element in cycle notation, with a, a+1,
 ..., a+f-1 choices in turn, which adds one to the size but no cycle.
+
+The DP keeps each coefficient vector as one nonnegative int, coefficient d
+in bits [d*w, (d+1)*w) with w from `polynomials.slot_width` (Kronecker
+substitution), so adding W(a, f) times a tail is one big-int multiply.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from math import factorial
 
 from .errors import IndexOutOfRange, NotTransverse, ParseError
 from .genfun import stirling_first_kind_row
+from .polynomials import slot_width, unpack_slots
 from .posets import Poset, _bits
 
 
@@ -291,6 +296,13 @@ def _layer_weight(a, f):
     return (0,) * f + tuple(rising * row[a - j] for j in range(a))
 
 
+@lru_cache(maxsize=None)
+def _packed_layer_weight(a, f, w):
+    """W(a, f) packed w bits per coefficient, as `transverse_poly_coeffs`
+    multiplies it into its memo values."""
+    return sum(c << (j * w) for j, c in enumerate(_layer_weight(a, f)))
+
+
 def transverse_poly_coeffs(P: Poset):
     """Coefficient list c with c[d] = sum of prod (|B|-1)! over transverse
     partitions having n - d blocks.
@@ -300,15 +312,22 @@ def transverse_poly_coeffs(P: Poset):
     numbers a of free and f of forbidden minima it takes, so each layer
     subset multiplies its tail by the closed form W(a, f) of the module
     docstring and no partition is built.  A state whose minima are all
-    forbidden has no layer and contributes zero.
+    forbidden has no layer and contributes zero; it is memoized too, since
+    many layer choices lead to the same dead state.
+
+    Memo values are packed ints (module docstring), w = slot_width(n).  No
+    slot carries: a state's coefficients are nonnegative and sum to its
+    |mu|-weighted count of restricted transverse partitions, at most the
+    linear extensions of the alive subposet (Zaslavsky), so at most n! < 2^w.
     """
     n = P.n
     down = P._down
+    w = slot_width(n)
     memo = {}
 
     def rec(alive, forbidden):
         if not alive:
-            return (1,)
+            return 1
         key = (alive, forbidden)
         got = memo.get(key)
         if got is not None:
@@ -316,9 +335,10 @@ def transverse_poly_coeffs(P: Poset):
         mm = _min_mask(down, alive)
         free = mm & ~forbidden
         if not free:
-            return (0,)
+            memo[key] = 0
+            return 0
         forb = mm & forbidden
-        acc = [0] * (alive.bit_count() + 1)
+        acc = 0
         sa = free
         while sa:
             a = sa.bit_count()
@@ -326,22 +346,16 @@ def transverse_poly_coeffs(P: Poset):
             while True:
                 s = sa | sf
                 tail = rec(alive & ~s, mm & ~s)
-                if tail != (0,):
-                    for j, w in enumerate(_layer_weight(a, sf.bit_count())):
-                        if w:
-                            for d, c in enumerate(tail):
-                                acc[d + j] += w * c
+                if tail:
+                    acc += _packed_layer_weight(a, sf.bit_count(), w) * tail
                 if not sf:
                     break
                 sf = (sf - 1) & forb
             sa = (sa - 1) & free
-        while len(acc) > 1 and acc[-1] == 0:
-            acc.pop()
-        out = tuple(acc)
-        memo[key] = out
-        return out
+        memo[key] = acc
+        return acc
 
-    return list(rec((1 << n) - 1, 0))
+    return unpack_slots(rec((1 << n) - 1, 0), w)
 
 
 def brute_force_transverse(P: Poset):

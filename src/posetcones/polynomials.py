@@ -7,7 +7,7 @@ pseudo-remainders) lives here too since it is pure polynomial arithmetic.
 
 from __future__ import annotations
 
-from math import gcd
+from math import factorial, gcd
 
 from .errors import ParseError, ZeroPolynomial
 
@@ -156,13 +156,35 @@ class IntPolynomial:
 
 def poly_from_machine(text: str) -> IntPolynomial:
     """Inverse of machine_str; commas tolerated as separators, but an empty
-    field between commas or at either end is an error."""
+    field between commas or at either end, or no coefficient at all, is an
+    error (machine_str writes zero as '0')."""
     if "," in text and not all(f.strip() for f in text.split(",")):
         raise ParseError(f"empty field in coefficient list {text!r}")
     try:
-        return IntPolynomial([int(tok) for tok in text.replace(",", " ").split()])
+        coeffs = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise ParseError(f"bad coefficient list {text!r}") from None
+    if not coeffs:
+        raise ParseError(f"no coefficient in {text!r}")
+    return IntPolynomial(coeffs)
+
+
+def slot_width(n: int) -> int:
+    """Bits per slot of a packed vector whose nonnegative coefficients sum
+    to at most n!: each slot stays below 2^w, so none carries."""
+    return factorial(n).bit_length()
+
+
+def unpack_slots(x: int, w: int) -> list:
+    """Coefficients of a nonnegative int that holds coefficient d in bits
+    [d*w, (d+1)*w), lowest first, without trailing zeros.  The memoized DPs
+    of `partitions` and `whitney` keep their values packed this way."""
+    mask = (1 << w) - 1
+    out = []
+    while x:
+        out.append(x & mask)
+        x >>= w
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ unsigned Whitney numbers.  Routes:
 
 The lrmax, width2 and Eulerian statistics are counted by one memoized
 automaton over linear extensions (`_extension_dp`): each route supplies its
-own step function, so the count needs states, not words.
+own step function, so the count needs states, not words.  Like the
+transverse DP, the automaton keeps each memo value as one packed int.
 
 Keeping the routes separate is the point: cross-checking them is the main
 correctness instrument, so none of them may delegate to another.
@@ -19,7 +20,7 @@ correctness instrument, so none of them may delegate to another.
 from __future__ import annotations
 
 from .errors import NotNaturallyLabeled
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, slot_width, unpack_slots
 from .posets import Poset, chain_cover_width2
 from .partitions import transverse_poly_coeffs
 
@@ -35,32 +36,35 @@ def _extension_dp(n, down, start, step):
 
     Walks down-set masks as `count_linear_extensions` does and memoizes the
     suffix count-vector on (placed, state); step(state, v) returns
-    (next_state, exponent) for placing the 0-based element v.  Exponents must
-    sum to at most n along every extension.
+    (next_state, exponent) for placing the 0-based element v.
+
+    Memo values are packed ints, coefficient k in bits [k*w, (k+1)*w) with
+    w = slot_width(n), so a step adds its tail shifted by e*w.  No slot
+    carries: the coefficients at (placed, state) are nonnegative and count
+    the linear extensions of the unplaced subposet, at most n! < 2^w.
     """
     full = (1 << n) - 1
+    w = slot_width(n)
     memo = {}
 
     def rec(placed, state):
         if placed == full:
-            return [1]
+            return 1
         key = (placed, state)
         got = memo.get(key)
         if got is not None:
             return got
-        acc = [0] * (n + 1)
+        acc = 0
         for v in range(n):
             b = 1 << v
             if placed & b or down[v] & ~placed:
                 continue
             nxt, e = step(state, v)
-            for k, c in enumerate(rec(placed | b, nxt)):
-                if c:
-                    acc[k + e] += c
+            acc += rec(placed | b, nxt) << (e * w)
         memo[key] = acc
         return acc
 
-    return IntPolynomial(rec(0, start))
+    return IntPolynomial(unpack_slots(rec(0, start), w))
 
 
 def poincare_via_lrmax(P: Poset, workers: int = 1) -> IntPolynomial:

@@ -1,8 +1,11 @@
 """Shared generators for the test suite."""
 
+import random
+from functools import lru_cache
 from itertools import product
+from math import factorial
 
-from posetcones import poset_from_relations
+from posetcones import grid, poset_from_relations, random_poset
 
 
 def is_transitive(rel):
@@ -45,3 +48,24 @@ def transitive_closure_pairs(n, pairs):
                     if row_k[j]:
                         row_i[j] = True
     return {(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if reach[i][j]}
+
+
+@lru_cache(maxsize=None)
+def packed_kernel_corpus():
+    """Posets on which the packed-int DPs are compared with list oracles:
+    every labeled poset with n <= 5, 200 seeded random posets with n <= 9,
+    and the grids 3x8, 4x7 and 5x6."""
+    out = [P for n in range(6) for P in all_labeled_posets(n)]
+    rng = random.Random(8)
+    for _ in range(200):
+        out.append(random_poset(rng.randint(0, 9), rng.choice([0.2, 0.35, 0.5, 0.7]), rng))
+    out += [grid(3, 8), grid(4, 7), grid(5, 6)]
+    return tuple(out)
+
+
+def multinomial(a):
+    """Linear extensions of the disjoint union of chains of lengths a."""
+    out = factorial(sum(a))
+    for k in a:
+        out //= factorial(k)
+    return out

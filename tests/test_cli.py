@@ -293,6 +293,21 @@ def test_genfun_rhs_and_stirling(capsys):
     assert (code, out) == (0, "1 3 2\n")
 
 
+def test_genfun_stirling_runs_lrmax_once(capsys, monkeypatch):
+    calls = []
+    real = whitney.poincare_via_lrmax
+
+    def counted(P, workers=1):
+        calls.append(P.n)
+        return real(P, workers=workers)
+
+    monkeypatch.setattr(whitney, "poincare_via_lrmax", counted)
+    code, out, _ = run(capsys, "genfun", "stirling", "--n", "9")
+    assert code == 0
+    assert calls == [9]
+    assert out.splitlines()[1] == "stirling row check: ok"
+
+
 def test_table_small_rows(capsys):
     code, out, _ = run(capsys, "table", "--n-max", "4", "--machine")
     assert code == 0
@@ -323,6 +338,14 @@ def test_roots_empty_field_exit_2(coeffs):
     code, err = run_process("roots", coeffs)
     assert code == 2
     assert err.startswith("error: empty field in coefficient list")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("coeffs", ["", " ", "\t"])
+def test_roots_no_coefficient_exit_2(coeffs):
+    code, err = run_process("roots", coeffs)
+    assert code == 2
+    assert err.startswith("error: no coefficient in")
     assert "Traceback" not in err
 
 

@@ -36,7 +36,12 @@ from posetcones.partitions import (
 )
 from posetcones.whitney import poincare_via_transverse
 
-from common import all_labeled_posets, transitive_closure_pairs
+from common import (
+    all_labeled_posets,
+    multinomial,
+    packed_kernel_corpus,
+    transitive_closure_pairs,
+)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 
@@ -256,3 +261,65 @@ def test_dp_reaches_large_antichains():
         for k in range(1, n):
             want = want * IntPolynomial([1, k])
         assert poincare_via_transverse(antichain(n)) == want
+
+
+def _list_transverse_coeffs(P):
+    """The transverse DP on coefficient lists, one small int at a time, as
+    it ran before its memo values were packed into ints (oracle)."""
+    from posetcones.partitions import _min_mask
+
+    down = P._down
+    memo = {}
+
+    def rec(alive, forbidden):
+        if not alive:
+            return (1,)
+        key = (alive, forbidden)
+        if key in memo:
+            return memo[key]
+        mm = _min_mask(down, alive)
+        free = mm & ~forbidden
+        if not free:
+            return (0,)
+        forb = mm & forbidden
+        acc = [0] * (alive.bit_count() + 1)
+        sa = free
+        while sa:
+            a = sa.bit_count()
+            sf = forb
+            while True:
+                s = sa | sf
+                tail = rec(alive & ~s, mm & ~s)
+                for j, w in enumerate(_layer_weight(a, sf.bit_count())):
+                    for d, c in enumerate(tail):
+                        acc[d + j] += w * c
+                if not sf:
+                    break
+                sf = (sf - 1) & forb
+            sa = (sa - 1) & free
+        while len(acc) > 1 and acc[-1] == 0:
+            acc.pop()
+        memo[key] = tuple(acc)
+        return memo[key]
+
+    return list(rec((1 << P.n) - 1, 0))
+
+
+def test_packed_dp_matches_list_oracle():
+    for P in packed_kernel_corpus():
+        assert transverse_poly_coeffs(P) == _list_transverse_coeffs(P), P.relations()
+
+
+def test_packed_dp_slots_at_antichain_boundary():
+    # prod (1 + kt) sums to n!, the largest total the slot width must hold
+    want = IntPolynomial.one()
+    for n in range(1, 21):
+        want = want * IntPolynomial([1, n - 1])
+        got = transverse_poly_coeffs(antichain(n))
+        assert got == list(want.coeffs), n
+        assert sum(got) == factorial(n)
+
+
+def test_packed_dp_on_chain_unions_sums_to_multinomial():
+    for a in ([1] * 8, [2] * 6, [3] * 5, [4, 4, 4], [7, 1, 1, 1, 1], [5, 3, 2, 1]):
+        assert sum(transverse_poly_coeffs(union_of_chains(a))) == multinomial(a), a

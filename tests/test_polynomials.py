@@ -12,7 +12,7 @@ from posetcones import (
     grid,
     poincare,
 )
-from posetcones.polynomials import poly_from_machine
+from posetcones.polynomials import poly_from_machine, unpack_slots
 
 
 def test_trimming_and_degree():
@@ -63,10 +63,16 @@ def test_text_forms():
         poly_from_machine("1 x 2")
 
 
-@pytest.mark.parametrize("text", ["1,,2", ",1,2", "1,2,", "1, ,2", ",", "1 2,"])
+@pytest.mark.parametrize("text", ["1,,2", ",1,2", "1,2,", "1, ,2", ",", "1 2,", "", " ", "\t\n"])
 def test_empty_coefficient_field_is_a_parse_error(text):
     with pytest.raises(ParseError):
         poly_from_machine(text)
+
+
+def test_unpack_slots():
+    assert unpack_slots(0, 5) == []
+    assert unpack_slots(1, 5) == [1]
+    assert unpack_slots(3 | 31 << 10 | 1 << 15, 5) == [3, 0, 31, 1]
 
 
 def test_commas_with_spaces_still_parse():

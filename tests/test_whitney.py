@@ -15,6 +15,7 @@ from posetcones import (
     count_linear_extensions,
     des_p1p2,
     grid,
+    is_linear_extension,
     linear_extensions,
     lrmax_count,
     opposite,
@@ -29,9 +30,12 @@ from posetcones import (
     random_poset,
     union_of_chains,
     whitney_numbers,
+    width,
 )
 from posetcones import whitney
 from posetcones.whitney import auto_method
+
+from common import multinomial, packed_kernel_corpus
 
 
 def poly(*coeffs):
@@ -215,3 +219,62 @@ def test_auto_dispatch_never_runs_the_lrmax_dp(monkeypatch):
     for k in range(1, 10):
         row = row * poly(1, k)
     assert poincare(stacked) == row * row * row * row
+
+
+def _list_extension_dp(n, down, start, step):
+    """The extension automaton on coefficient lists, one small int at a
+    time, as it ran before its memo values were packed into ints (oracle)."""
+    full = (1 << n) - 1
+    memo = {}
+
+    def rec(placed, state):
+        if placed == full:
+            return [1]
+        key = (placed, state)
+        if key in memo:
+            return memo[key]
+        acc = [0] * (n + 1)
+        for v in range(n):
+            b = 1 << v
+            if placed & b or down[v] & ~placed:
+                continue
+            nxt, e = step(state, v)
+            for k, c in enumerate(rec(placed | b, nxt)):
+                if c:
+                    acc[k + e] += c
+        memo[key] = acc
+        return acc
+
+    return IntPolynomial(rec(0, start))
+
+
+def _automaton_routes(P):
+    """lrmax always, width2 when the width is at most 2, Eulerian when the
+    labeling is natural; None marks a route that does not apply."""
+    return (
+        poincare_via_lrmax(P),
+        poincare_via_width2(P) if width(P) <= 2 else None,
+        p_eulerian(P) if is_linear_extension(P, range(1, P.n + 1)) else None,
+    )
+
+
+def test_packed_automaton_matches_list_oracle(monkeypatch):
+    corpus = packed_kernel_corpus()
+    packed = [_automaton_routes(P) for P in corpus]
+    assert sum(r[1] is not None for r in packed) > 1000
+    assert sum(r[2] is not None for r in packed) > 500
+    for P, (lr, _, _) in zip(corpus, packed):
+        assert lr == poincare_via_transverse(P), P.relations()
+    monkeypatch.setattr(whitney, "_extension_dp", _list_extension_dp)
+    for P, want in zip(corpus, packed):
+        assert _automaton_routes(P) == want, P.relations()
+
+
+def test_packed_automaton_on_chain_unions_sums_to_multinomial():
+    for a in ([1] * 8, [2] * 6, [3] * 5, [4, 4, 4], [7, 1, 1, 1, 1], [5, 3, 2, 1], [6, 5]):
+        want = multinomial(a)
+        P = union_of_chains(a)
+        assert poincare_via_lrmax(P)(1) == want, a
+        assert p_eulerian(P)(1) == want, a
+        if len(a) <= 2:
+            assert poincare_via_width2(P)(1) == want, a
