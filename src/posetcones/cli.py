@@ -225,6 +225,8 @@ def cmd_genfun(args):
             else:
                 print(f"ALL MATCH ({len(report)} coefficients)")
         return 4 if bad else 0
+    if args.n < 0:
+        raise ParseError("--n must be nonnegative")
     from .posets import antichain
     from .whitney import poincare_via_lrmax
 

@@ -313,6 +313,8 @@ def enumerate_multiset_perms(a):
 
 def _fcyc_counts(a):
     """counts[k] = number of words with support a that have k prime factors."""
+    if any(k < 0 for k in a):
+        raise IndexOutOfRange("chain lengths must be nonnegative")
     counts = [0] * (sum(a) + 1)
     for word in _words(a):
         counts[len(_circuits(word, a))] += 1

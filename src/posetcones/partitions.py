@@ -6,7 +6,11 @@ directed cycle through distinct blocks).  Enumeration peels the partition by
 quotient levels: the blocks lying inside min(P) are exactly the removable
 ones, so choosing a partial partition of min(P), deleting it, and forbidding
 leftover-minima-only blocks at the next step visits each transverse partition
-once.
+once.  A state (alive, forbidden) of that recursion has a completion iff
+nothing is alive or some minimum is free: taking every minimum, each
+forbidden one in a block with a free one, leaves nothing forbidden.  So a
+layer S is worth taking iff S is all of min(P) or S holds every minimum below
+some element of the next level, and the enumeration expands no other.
 
 The weighted count behind the cone polynomial needs no blocks at all.  A
 layer that takes a free and f forbidden minima contributes, summed over its
@@ -110,7 +114,7 @@ def parse_partition(text: str, n=None) -> SetPartition:
         except ValueError:
             raise ParseError(f"bad block {part!r}") from None
     flat = [x for blk in blocks for x in blk]
-    size = max(flat) if n is None else n
+    size = max(flat, default=0) if n is None else n
     return SetPartition(size, blocks)
 
 
@@ -227,38 +231,56 @@ def _min_mask(down, alive):
     return m
 
 
-def _layer_choices(min_mask, forbidden):
+def _layer_choices(min_mask, forbidden, up=(), targets=0):
     """Partitions of each nonempty subset S of min_mask whose blocks all
-    contain at least one vertex outside `forbidden`.
+    contain at least one vertex outside `forbidden` and after which the
+    enumeration can go on.
 
-    Returns a list of (S_mask, blocks), blocks a tuple of sorted label tuples.
+    `targets` are the minima of what lies above the layer (bit rows `up`).
+    Taking S leaves a state with a free minimum iff S is all of min_mask or
+    S holds every minimum below some target, so leaving a vertex out of the
+    layer drops the targets above it, and a branch ends once none is left.
+    With no targets the layer is all that is alive and S = min_mask.  A
+    branch also ends when it holds more forbidden-only blocks than free
+    vertices remain to join them.
+
+    Returns a list of (S_mask, blocks), blocks a tuple of ascending label
+    tuples.
     """
     elems = list(_bits(min_mask))
+    free_left = [0] * (len(elems) + 1)  # free vertices at positions >= idx
+    for idx in range(len(elems) - 1, -1, -1):
+        free_left[idx] = free_left[idx + 1] + (not forbidden >> elems[idx] & 1)
     out = []
+    blocks = []
+    masks = []
 
-    def rec(idx, blocks, masks):
+    def rec(idx, s, targets, short):
+        if short > free_left[idx]:
+            return
         if idx == len(elems):
-            if blocks and all(m & ~forbidden for m in masks):
-                s = 0
-                for m in masks:
-                    s |= m
-                out.append((s, tuple(tuple(x + 1 for x in sorted(b)) for b in blocks)))
+            out.append((s, tuple(map(tuple, blocks))))
             return
         v = elems[idx]
-        rec(idx + 1, blocks, masks)  # leave v out of the layer
+        bit = 1 << v
+        free = not forbidden & bit
+        kept = targets & ~up[v] if targets else 0
+        if kept:
+            rec(idx + 1, s, kept, short)  # leave v out of the layer
         for b in range(len(blocks)):
-            blocks[b].append(v)
-            masks[b] |= 1 << v
-            rec(idx + 1, blocks, masks)
-            masks[b] ^= 1 << v
+            fills = free and not masks[b] & ~forbidden
+            blocks[b].append(v + 1)
+            masks[b] |= bit
+            rec(idx + 1, s | bit, targets, short - fills)
+            masks[b] ^= bit
             blocks[b].pop()
-        blocks.append([v])
-        masks.append(1 << v)
-        rec(idx + 1, blocks, masks)
+        blocks.append([v + 1])
+        masks.append(bit)
+        rec(idx + 1, s | bit, targets, short + (not free))
         masks.pop()
         blocks.pop()
 
-    rec(0, [], [])
+    rec(0, 0, targets, 0)
     return out
 
 
@@ -268,16 +290,23 @@ def enumerate_transverse(P: Poset):
     Level recursion: a block is removable iff it sits inside min(P); blocks
     made only of minima left behind at the previous level can never become a
     deeper level's block, so they are forbidden, which kills double counting.
+
+    A state (alive, forbidden) has a completion iff alive is empty or some
+    minimum is free: taking every minimum, each forbidden one in a block with
+    a free one, leaves nothing forbidden.  `_layer_choices` keeps only the
+    layers that lead to such a state, so no branch of the recursion is dead.
     """
     n = P.n
     down = P._down
+    up = P._up
 
     def rec(alive, forbidden):
         if not alive:
             yield ()
             return
         mm = _min_mask(down, alive)
-        for s_mask, blocks in _layer_choices(mm, forbidden):
+        targets = _min_mask(down, alive & ~mm)
+        for s_mask, blocks in _layer_choices(mm, forbidden, up, targets):
             rest_forbidden = mm & ~s_mask
             for tail in rec(alive & ~s_mask, rest_forbidden):
                 yield blocks + tail

@@ -128,6 +128,12 @@ def test_genfun_negative_degree_exit_2():
     assert code == 2 and "Traceback" not in err
 
 
+def test_genfun_stirling_negative_n_exit_2():
+    code, err = run_process("genfun", "stirling", "--n", "-1")
+    assert code == 2 and "Traceback" not in err
+    assert "--n must be nonnegative" in err
+
+
 def test_selfcheck_n_max_zero_exit_2():
     code, err = run_process("selfcheck", "--n-max", "0")
     assert code == 2 and "Traceback" not in err

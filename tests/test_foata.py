@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from posetcones import (
+    IndexOutOfRange,
     MultisetPermutation,
     NotLinearExtension,
     NotTransverse,
@@ -319,3 +320,10 @@ def test_route_reversed_is_the_fcyc_distribution():
         for a in _compositions(total):
             route = poincare_via_foata(a)
             assert route.reversed_to_degree(total) == fcyc_distribution(a), a
+
+
+@pytest.mark.parametrize("a", [(-1,), (2, -1), (-2, 3), (1, 0, -1)])
+@pytest.mark.parametrize("route", [poincare_via_foata, fcyc_distribution])
+def test_negative_chain_length_is_a_typed_error(route, a):
+    with pytest.raises(IndexOutOfRange, match="nonnegative"):
+        route(a)

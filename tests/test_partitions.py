@@ -26,14 +26,18 @@ from posetcones import (
     transverse_count_check,
     union_of_chains,
 )
+from posetcones import bijections, partitions
+from posetcones.bijections import transverse_permutations
 from posetcones.partitions import (
     _layer_choices,
     _layer_weight,
+    _min_mask,
     brute_force_transverse,
     check_transverse,
     singleton_partition,
     transverse_poly_coeffs,
 )
+from posetcones.posets import _bits
 from posetcones.whitney import poincare_via_transverse
 
 from common import (
@@ -79,6 +83,12 @@ def test_partition_text_round_trip():
     with pytest.raises(ParseError):
         parse_partition("1,x")
     assert parse_partition("") == SetPartition(0, [])
+
+
+@pytest.mark.parametrize("text", [",", " , "])
+def test_partition_without_elements_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_partition(text)
 
 
 def test_all_partitions_counts_and_order():
@@ -133,6 +143,102 @@ def test_enumerate_transverse_extremes():
     for n in range(1, 6):
         assert len(list(enumerate_transverse(antichain(n)))) == BELL[n]
         assert list(enumerate_transverse(chain(n))) == [singleton_partition(n)]
+
+
+def _unpruned_layer_choices(min_mask, forbidden):
+    """Every partition of every nonempty subset of min_mask whose blocks
+    each hold a label outside `forbidden`, dead branches included, as the
+    enumeration built them before it was pruned (oracle)."""
+    elems = list(_bits(min_mask))
+    out = []
+
+    def rec(idx, blocks, masks):
+        if idx == len(elems):
+            if blocks and all(m & ~forbidden for m in masks):
+                s = 0
+                for m in masks:
+                    s |= m
+                out.append((s, tuple(tuple(x + 1 for x in sorted(b)) for b in blocks)))
+            return
+        v = elems[idx]
+        rec(idx + 1, blocks, masks)
+        for b in range(len(blocks)):
+            blocks[b].append(v)
+            masks[b] |= 1 << v
+            rec(idx + 1, blocks, masks)
+            masks[b] ^= 1 << v
+            blocks[b].pop()
+        blocks.append([v])
+        masks.append(1 << v)
+        rec(idx + 1, blocks, masks)
+        masks.pop()
+        blocks.pop()
+
+    rec(0, [], [])
+    return out
+
+
+def _unpruned_enumerate_transverse(P):
+    """The level recursion over every layer choice, in the order the pruned
+    enumeration must keep (oracle)."""
+    down = P._down
+
+    def rec(alive, forbidden):
+        if not alive:
+            yield ()
+            return
+        mm = _min_mask(down, alive)
+        for s_mask, blocks in _unpruned_layer_choices(mm, forbidden):
+            for tail in rec(alive & ~s_mask, mm & ~s_mask):
+                yield blocks + tail
+
+    for blocks in rec((1 << P.n) - 1, 0):
+        yield SetPartition(P.n, blocks)
+
+
+def _ordered_oracle_corpus():
+    out = [P for n in range(6) for P in all_labeled_posets(n)]
+    rng = random.Random(9)
+    for _ in range(300):
+        out.append(random_poset(rng.randint(0, 8),
+                                rng.choice([0.05, 0.1, 0.2, 0.35, 0.5, 0.7]), rng))
+    out += [grid(2, 4), grid(3, 3)]
+    out += [union_of_chains(a) for a in ((2, 2, 2), (3, 2, 1, 1), (1,) * 6, (4, 3))]
+    return out
+
+
+def test_enumeration_matches_unpruned_oracle_in_order():
+    for P in _ordered_oracle_corpus():
+        assert list(enumerate_transverse(P)) == list(_unpruned_enumerate_transverse(P)), \
+            P.relations()
+
+
+def test_transverse_permutations_keep_their_order(monkeypatch):
+    rng = random.Random(10)
+    posets = [random_poset(rng.randint(0, 6), rng.choice([0.1, 0.3, 0.5]), rng)
+              for _ in range(60)]
+    got = [list(transverse_permutations(P)) for P in posets]
+    monkeypatch.setattr(bijections, "enumerate_transverse", _unpruned_enumerate_transverse)
+    assert got == [list(transverse_permutations(P)) for P in posets]
+
+
+def test_enumeration_builds_no_dead_layer(monkeypatch):
+    built = []
+    layer_choices = partitions._layer_choices
+
+    def counting(*args):
+        out = layer_choices(*args)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(partitions, "_layer_choices", counting)
+    for n in range(1, 8):
+        built.clear()
+        assert len(list(enumerate_transverse(antichain(n)))) == BELL[n]
+        assert sum(built) == BELL[n], n
+        built.clear()
+        list(enumerate_transverse(chain(n)))
+        assert sum(built) == n, n
 
 
 def test_enumeration_matches_brute_force():
@@ -266,8 +372,6 @@ def test_dp_reaches_large_antichains():
 def _list_transverse_coeffs(P):
     """The transverse DP on coefficient lists, one small int at a time, as
     it ran before its memo values were packed into ints (oracle)."""
-    from posetcones.partitions import _min_mask
-
     down = P._down
     memo = {}
 
