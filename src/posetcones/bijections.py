@@ -8,8 +8,9 @@ the width-2 bijection onto transverse partitions matching chain-crossing
 descents with two-element blocks.
 
 Comparability is read off the bit-packed rows P._up / P._down, never pair
-by pair: level_decompose is one pass over level masks, and phi builds the
-cycles and the quotient of their partition once, peeling minimal blocks.
+by pair: level_decompose is one pass over level masks, and phi hands the
+cycles straight to the quotient peel of `partitions`, which checks
+transversality and yields the cycles' quotient levels in the same pass.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
 from .partitions import (
     SetPartition,
     _min_mask,
+    _quotient_peel,
     check_transverse,
     enumerate_transverse,
 )
@@ -165,33 +167,11 @@ def transverse_permutations(P: Poset):
             yield Permutation.from_cycles(P.n, combo)
 
 
-def _quotient_levels(P, pi):
-    """Quotient level of each block (longest chain ending there, 1-based) and
-    the label mask of each level (index 0 empty), peeling the minimal blocks
-    of the closed quotient; NotTransverse if pi is not transverse."""
-    masks, rel = check_transverse(P, pi)
-    level = [0] * len(rel)
-    level_masks = [0]
-    rem = (1 << len(rel)) - 1
-    while rem:
-        layer = rem
-        for a, row in enumerate(rel):
-            if rem >> a & 1:
-                layer &= ~row | 1 << a  # drop what lies strictly above a
-        level_masks.append(0)
-        for a, m in enumerate(masks):
-            if layer >> a & 1:
-                level[a] = len(level_masks) - 1
-                level_masks[-1] |= m
-        rem &= ~layer
-    return level, level_masks
-
-
 def levels_of_permutation(P: Poset, tau: Permutation):
     """Block -> quotient level of the cycle partition; NotTransverse if that
     partition is not transverse."""
     pi = tau.cycle_partition()
-    level, _ = _quotient_levels(P, pi)
+    level, _ = check_transverse(P, pi)
     return dict(zip(pi.blocks, level))
 
 
@@ -200,8 +180,9 @@ def phi(P: Poset, tau: Permutation):
     element, cycles sorted by (level, leading element).  An element is
     essential on level one, or when it lies above something one level down."""
     cycles = tau.cycles()
-    # cycles are sorted by smallest element, as the partition's blocks are
-    level, level_masks = _quotient_levels(P, SetPartition(tau.n, cycles))
+    # a failed peel goes on to check_transverse only to word the error
+    level, level_masks = (_quotient_peel(P, cycles, tau.n)
+                          or check_transverse(P, tau.cycle_partition()))
     down = P._down
     keyed = []
     for cyc, lv in zip(cycles, level):
@@ -348,8 +329,6 @@ def omega(P: Poset, d, sigma) -> SetPartition:
 def omega_inv(P: Poset, d, pi: SetPartition):
     """Rebuild the word: paired blocks force the chain-2 run below the partner,
     then the partner, then the chain-1 minimum."""
-    if pi.n != P.n:
-        raise IndexOutOfRange("partition size differs from poset size")
     check_transverse(P, pi)
     block_of = {}
     for blk in pi.blocks:

@@ -86,7 +86,7 @@ def _int_list(text):
 
 def cmd_poin(args):
     P = _load_poset(args.poset)
-    poly = whitney.poincare(P, method=args.method, workers=args.workers)
+    poly = whitney.poincare(P, method=args.method)
     nle = count_linear_extensions(P)
     ok = poly(1) == nle
     if args.machine:
@@ -279,7 +279,7 @@ def cmd_selfcheck(args):
         tag = f"trial {trial} (n={n}, p={p})"
 
         dp = whitney.poincare_via_transverse(P)
-        lr = whitney.poincare_via_lrmax(P, workers=args.workers)
+        lr = whitney.poincare_via_lrmax(P)
         ran["transverse=lrmax"] += 1
         if dp != lr:
             fails.append(f"{tag}: transverse != lrmax {_first_difference(dp, lr)}")

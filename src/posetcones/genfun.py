@@ -9,7 +9,7 @@ the inverse is a sum over coefficients already found.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import DegreeExceeded
 from .polynomials import IntPolynomial
@@ -175,8 +175,11 @@ def tmmt_rhs(ell, cap) -> TruncatedSeries:
 
 def _compositions_upto(ell, cap):
     """All exponent tuples with nonnegative parts and total at most cap, in
-    lex order."""
-    return [e for e in product(range(cap + 1), repeat=ell) if sum(e) <= cap]
+    lex order: the first part runs 0..cap, the rest share what is left."""
+    if not ell:
+        return [()]
+    return [(first,) + rest for first in range(cap + 1)
+            for rest in _compositions_upto(ell - 1, cap - first)]
 
 
 def coefficient(S: TruncatedSeries, a) -> IntPolynomial:

@@ -40,7 +40,7 @@ from math import factorial
 from .errors import IndexOutOfRange, NotTransverse, ParseError
 from .genfun import stirling_first_kind_row
 from .polynomials import slot_width, unpack_slots
-from .posets import Poset, _bits
+from .posets import Poset, _bits, _label_mask
 
 
 class SetPartition:
@@ -160,61 +160,75 @@ class Preposet:
         return True
 
 
-def _quotient_rows(P: Poset, pi: SetPartition):
-    """Label mask of each block, whether every block is an antichain (its up
-    rows miss its own mask), and the quotient rows: block a relates to block
-    b when the OR of a's up rows hits b's mask, closed reflexively and
-    transitively."""
-    if pi.n != P.n:
+def _quotient_peel(P: Poset, blocks, n):
+    """Quotient level of each block (1-based) and the label mask of each
+    level (index 0 empty); None unless the blocks are transverse to P.
+
+    Each level is every remaining block that no remaining block's up rows
+    reach: a vertex with no arc in from the rest is minimal in the closure
+    too, so no closure is built.  An empty level means a directed cycle; a
+    block that is no antichain reaches itself, so it never peels either.
+    """
+    if n != P.n:
         raise IndexOutOfRange("partition size differs from poset size")
     up = P._up
     masks = []
     ups = []
-    for blk in pi.blocks:
+    for blk in blocks:
         m = u = 0
         for x in blk:
             m |= 1 << (x - 1)
             u |= up[x - 1]
         masks.append(m)
         ups.append(u)
-    rel = []
-    for a, u in enumerate(ups):
-        row = 1 << a
-        for b, m in enumerate(masks):
-            if u & m:
-                row |= 1 << b
-        rel.append(row)
-    for m in range(len(rel)):
-        mbit = 1 << m
-        mrow = rel[m]
-        if mrow == mbit:
-            continue  # nothing above block m to pass on
-        for a in range(len(rel)):
-            if rel[a] & mbit:
-                rel[a] |= mrow
-    return masks, not any(u & m for u, m in zip(ups, masks)), rel
+    level = [0] * len(masks)
+    level_masks = [0]
+    rem = range(len(masks))
+    while rem:
+        above = 0
+        for a in rem:
+            above |= ups[a]
+        layer = 0
+        for a in rem:
+            if not masks[a] & above:
+                level[a] = len(level_masks)
+                layer |= masks[a]
+        if not layer:
+            return None
+        level_masks.append(layer)
+        rem = [a for a in rem if masks[a] & above]
+    return level, level_masks
 
 
 def quotient_preposet(P: Poset, pi: SetPartition) -> Preposet:
     """Blocks related when some representatives are; closed reflexively
-    and transitively."""
-    rel = _quotient_rows(P, pi)[2]
+    and transitively (Warshall)."""
+    if pi.n != P.n:
+        raise IndexOutOfRange("partition size differs from poset size")
+    up = P._up
+    masks = [_label_mask(blk) for blk in pi.blocks]
+    rel = [1 << a | sum(1 << b for b, m in enumerate(masks)
+                        if any(up[x - 1] & m for x in blk))
+           for a, blk in enumerate(pi.blocks)]
+    for m in range(len(rel)):
+        for a in range(len(rel)):
+            if rel[a] >> m & 1:
+                rel[a] |= rel[m]
     return Preposet(len(rel), rel)
 
 
 def is_transverse(P: Poset, pi: SetPartition) -> bool:
-    """Antichain blocks plus antisymmetric quotient."""
-    _, antichains, rel = _quotient_rows(P, pi)
-    return antichains and Preposet(len(rel), rel).is_antisymmetric()
+    """Antichain blocks and an acyclic quotient: the quotient peel ends."""
+    return _quotient_peel(P, pi.blocks, pi.n) is not None
 
 
 def check_transverse(P: Poset, pi: SetPartition):
-    """NotTransverse unless pi is transverse; returns the block masks and the
-    closed quotient rows."""
-    masks, antichains, rel = _quotient_rows(P, pi)
-    if not (antichains and Preposet(len(rel), rel).is_antisymmetric()):
+    """NotTransverse unless pi is transverse; returns the quotient level of
+    each block and the label mask of each level (index 0 empty)."""
+    levels = _quotient_peel(P, pi.blocks, pi.n)
+    if levels is None:
         raise NotTransverse(f"{partition_to_text(pi)} is not transverse")
-    return masks, rel
+    return levels
 
 
 # -- layered enumeration ------------------------------------------------------

@@ -67,9 +67,8 @@ def _extension_dp(n, down, start, step):
     return IntPolynomial(unpack_slots(rec(0, start), w))
 
 
-def poincare_via_lrmax(P: Poset, workers: int = 1) -> IntPolynomial:
-    """Sum of t^(n - #LR maxima) over all linear extensions.  `workers` is
-    accepted for compatibility and has no effect.
+def poincare_via_lrmax(P: Poset) -> IntPolynomial:
+    """Sum of t^(n - #LR maxima) over all linear extensions.
 
     State (cur, prev, first, runm): levels break when a new element dominates
     the current level cur; an element is an LR maximum on level one always,
@@ -123,15 +122,14 @@ def auto_method(P: Poset) -> str:
     return "transverse"
 
 
-def poincare(P: Poset, method: str = "auto", workers: int = 1) -> IntPolynomial:
-    """`auto` is the transverse DP; the other routes run only when named.
-    `workers` is accepted for compatibility and has no effect."""
+def poincare(P: Poset, method: str = "auto") -> IntPolynomial:
+    """`auto` is the transverse DP; the other routes run only when named."""
     if method == "auto":
         method = auto_method(P)
     if method == "transverse":
         return poincare_via_transverse(P)
     if method == "lrmax":
-        return poincare_via_lrmax(P, workers=workers)
+        return poincare_via_lrmax(P)
     if method == "width2":
         return poincare_via_width2(P)
     if method == "foata":

@@ -41,6 +41,8 @@ from posetcones import (
     union_of_chains,
 )
 from posetcones import WidthExceeded
+from posetcones.foata import foata_phi_inv
+from posetcones.partitions import check_transverse
 
 EX_PHI_RELATIONS = [
     (13, 6), (1, 6), (1, 7), (9, 7), (9, 2), (11, 2),
@@ -432,3 +434,59 @@ def test_bijection_core_makes_no_pairwise_queries(monkeypatch):
         assert sum(1 for b in pi.blocks if len(b) == 2) == des_p1p2(W2, d, w)
         partitions.add(pi)
     assert partitions == set(enumerate_transverse(W2))
+
+
+# -- work guard: transversality and quotient levels need no closure -------------
+
+def _refuse(*args):
+    raise AssertionError("built on the quotient peel's path")
+
+
+def _phi_answers():
+    P = ex_phi_poset()
+    tau = parse_permutation("(4)(6,3)(9)(10)(11,7)(12,5,8,2)(13,1)")
+    assert phi(P, tau) == (4, 9, 13, 1, 7, 11, 3, 6, 5, 8, 2, 12, 10)
+    assert phi(antichain(9), Permutation([7, 5, 9, 4, 2, 8, 3, 6, 1])) == (
+        4, 5, 2, 8, 6, 9, 1, 7, 3)
+    assert phi(chain(5), Permutation.identity(5)) == (1, 2, 3, 4, 5)
+
+
+def test_transversality_builds_no_preposet(monkeypatch):
+    monkeypatch.setattr("posetcones.partitions.Preposet", _refuse)
+    P = poset_from_relations(4, [(1, 2), (3, 4)])
+    good = SetPartition(4, [(1, 3), (2, 4)])
+    assert is_transverse(P, good)
+    assert not is_transverse(P, SetPartition(4, [(1, 2), (3,), (4,)]))
+    assert not is_transverse(P, SetPartition(4, [(1, 4), (2, 3)]))
+    assert check_transverse(P, good) == ([1, 2], [0, 0b0101, 0b1010])
+    with pytest.raises(NotTransverse, match=r"^1,4\|2,3 is not transverse$"):
+        check_transverse(P, SetPartition(4, [(1, 4), (2, 3)]))
+
+    _phi_answers()
+    with pytest.raises(NotTransverse, match="^1,2 is not transverse$"):
+        phi(chain(2), Permutation([2, 1]))
+    with pytest.raises(NotTransverse, match=r"^1,4\|2,5\|3,6 is not transverse$"):
+        phi(poset_from_relations(6, [(1, 2), (5, 3), (6, 4)]),
+            parse_permutation("(1,4)(2,5)(3,6)"))
+
+    tau = parse_permutation("(4)(6,3)(9)(10)(11,7)(12,5,8,2)(13,1)")
+    assert levels_of_permutation(ex_phi_poset(), tau)[(2, 5, 8, 12)] == 3
+    with pytest.raises(NotTransverse):
+        levels_of_permutation(chain(2), Permutation([2, 1]))
+
+    d = chain_cover_width2(P)
+    for w in linear_extensions(P):
+        assert omega_inv(P, d, omega(P, d, w)) == w
+    with pytest.raises(NotTransverse):
+        omega_inv(P, d, SetPartition(4, [(1, 2), (3,), (4,)]))
+
+    a = (2, 3, 2, 3)
+    tau = Permutation.from_cycles(10, [(3, 8, 6), (1, 4, 7), (9,), (2, 10, 5)])
+    assert foata_phi_inv(a, tau) == (3, 8, 9, 6, 1, 4, 2, 7, 10, 5)
+    with pytest.raises(NotTransverse):
+        foata_phi_inv((2, 2), Permutation([2, 1, 3, 4]))
+
+
+def test_phi_builds_no_set_partition(monkeypatch):
+    monkeypatch.setattr("posetcones.bijections.SetPartition", _refuse)
+    _phi_answers()

@@ -303,9 +303,9 @@ def test_genfun_stirling_runs_lrmax_once(capsys, monkeypatch):
     calls = []
     real = whitney.poincare_via_lrmax
 
-    def counted(P, workers=1):
+    def counted(P):
         calls.append(P.n)
-        return real(P, workers=workers)
+        return real(P)
 
     monkeypatch.setattr(whitney, "poincare_via_lrmax", counted)
     code, out, _ = run(capsys, "genfun", "stirling", "--n", "9")
@@ -397,8 +397,8 @@ def test_selfcheck_is_worker_invariant(capsys):
 def test_selfcheck_catches_planted_corruption(capsys, monkeypatch):
     real = whitney.poincare_via_lrmax
 
-    def corrupted(P, workers=1):
-        poly = real(P, workers=workers)
+    def corrupted(P):
+        poly = real(P)
         if P.n == 4:
             return poly + IntPolynomial([0, 1])
         return poly
@@ -413,8 +413,8 @@ def test_selfcheck_catches_planted_corruption(capsys, monkeypatch):
 def test_selfcheck_failure_names_first_differing_coefficient(capsys, monkeypatch):
     real = whitney.poincare_via_lrmax
 
-    def corrupted(P, workers=1):
-        poly = real(P, workers=workers)
+    def corrupted(P):
+        poly = real(P)
         if P.n == 4:
             return poly + IntPolynomial([0, 1])
         return poly

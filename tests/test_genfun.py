@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -102,6 +103,18 @@ def test_verify_reports():
         assert labels == _compositions_upto(ell, cap)
     ones = verify_chains_gf(1, 5)
     assert all(polyval == poly(1) for _, polyval, _ in ones)
+
+
+def test_compositions_match_the_product_filter_in_order():
+    for ell in range(5):
+        for cap in range(6):
+            want = [e for e in product(range(cap + 1), repeat=ell) if sum(e) <= cap]
+            assert _compositions_upto(ell, cap) == want, (ell, cap)
+
+
+def test_compositions_cost_what_they_return():
+    # the product filter would walk 3^20 tuples here to keep C(22, 2)
+    assert len(_compositions_upto(20, 2)) == 231
 
 
 def test_tmmt_specialization_counts_prime_factors():

@@ -1,4 +1,5 @@
-"""Unused-import check for the library modules, written on the stdlib `ast`."""
+"""Unused-import and unread-private-definition checks for the library
+modules, written on the stdlib `ast`."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import posetcones
 
 PACKAGE = Path(posetcones.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 
 
 def unused_imports(source):
@@ -28,6 +30,32 @@ def unused_imports(source):
                     bound.append((node.lineno, alias.asname or alias.name))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [(line, name) for line, name in bound if name not in read]
+
+
+def unread_private_definitions(sources):
+    """(module, name) for each module-level `def _x` / `class _X` that no
+    module reads as a bare name, an attribute or an imported name.
+
+    `sources` maps module file names to their text.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in read
+    ]
 
 
 def test_modules_are_found():
@@ -61,3 +89,17 @@ def test_used_and_future_imports_are_not_flagged():
         "    return os.path.join(chain)\n"
     )
     assert unused_imports(source) == []
+
+
+def test_every_private_definition_is_read():
+    assert unread_private_definitions(SOURCES) == []
+
+
+def test_planted_unread_private_definition_is_flagged():
+    # negative control: an unread helper, then the same helper read three ways
+    planted = dict(SOURCES)
+    planted["whitney.py"] += "\n\ndef _unused(P):\n    return P\n"
+    assert unread_private_definitions(planted) == [("whitney.py", "_unused")]
+    for reader in ("_unused(None)", "whitney._unused", "from .whitney import _unused"):
+        planted["cli.py"] = SOURCES["cli.py"] + "\n" + reader + "\n"
+        assert unread_private_definitions(planted) == [], reader

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -14,6 +15,7 @@ from posetcones import (
     count_linear_extensions,
     enumerate_transverse,
     grid,
+    is_antichain,
     is_transverse,
     mobius_abs,
     opposite,
@@ -32,6 +34,7 @@ from posetcones.partitions import (
     _layer_choices,
     _layer_weight,
     _min_mask,
+    _quotient_peel,
     brute_force_transverse,
     check_transverse,
     singleton_partition,
@@ -121,6 +124,43 @@ def test_transverse_recognition_examples():
     check_transverse(P, parse_partition("1,3|2,4"))
     with pytest.raises(NotTransverse):
         check_transverse(P, parse_partition("1,2|3|4"))
+
+
+def _closure_levels(P, pi):
+    """The reference the quotient peel replaces: None unless every block is
+    an antichain and the closed quotient is antisymmetric, else each block's
+    longest-chain height in the closed quotient rows and each level's mask."""
+    if any(not is_antichain(P, set(blk)) for blk in pi.blocks):
+        return None
+    Q = quotient_preposet(P, pi)
+    if not Q.is_antisymmetric():
+        return None
+    below = [[a for a in range(Q.k) if a != b and Q.rel[a] >> b & 1]
+             for b in range(Q.k)]
+    height = [0] * Q.k
+    # in a closed order, a block below b has fewer blocks below it than b
+    for b in sorted(range(Q.k), key=lambda b: len(below[b])):
+        height[b] = 1 + max((height[a] for a in below[b]), default=0)
+    level_masks = [0] * (1 + max(height, default=0))
+    for blk, h in zip(pi.blocks, height):
+        for x in blk:
+            level_masks[h] |= 1 << (x - 1)
+    return height, level_masks
+
+
+def test_quotient_peel_matches_the_closure():
+    posets = [P for n in range(5) for P in all_labeled_posets(n)]
+    rng = random.Random(19)
+    for _ in range(100):
+        posets.append(random_poset(rng.choice([5, 6]), rng.choice([0.2, 0.4, 0.6]), rng))
+    seen = Counter()
+    for P in posets:
+        for pi in all_partitions(P.n):
+            got = _quotient_peel(P, pi.blocks, pi.n)
+            want = _closure_levels(P, pi)
+            assert got == want, (P.relations(), partition_to_text(pi))
+            seen[got is not None] += 1
+    assert seen[True] > 1000 and seen[False] > 1000
 
 
 def test_transverse_ten_element_example():
