@@ -13,6 +13,14 @@ automaton over linear extensions (`_extension_dp`): each route supplies its
 own step function, so the count needs states, not words.  Like the
 transverse DP, the automaton keeps each memo value as one packed int.
 
+The lrmax state keeps only what a later step can read.  Later steps read
+the current and previous level only as `down[v] & level`, and the running
+maximum only as `v > runm`, each for an unplaced v.  So both levels are cut
+to live(placed), the union of the unplaced elements' down rows, and runm
+becomes `above`, the unplaced elements larger than it.  Placed only grows,
+so these sets only shrink: the cut merges exactly the states that no later
+step can tell apart.
+
 Keeping the routes separate is the point: cross-checking them is the main
 correctness instrument, so none of them may delegate to another.
 """
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 from .errors import NotNaturallyLabeled
 from .polynomials import IntPolynomial, slot_width, unpack_slots
-from .posets import Poset, chain_cover_width2
+from .posets import Poset, _bits, chain_cover_width2
 from .partitions import transverse_poly_coeffs
 
 
@@ -35,8 +43,11 @@ def _extension_dp(n, down, start, step):
     """coeffs[k] = number of linear extensions whose step exponents sum to k.
 
     Walks down-set masks as `count_linear_extensions` does and memoizes the
-    suffix count-vector on (placed, state); step(state, v) returns
-    (next_state, exponent) for placing the 0-based element v.
+    suffix count-vector on (placed, state); step(placed, state, v) returns
+    (next_state, exponent) for placing the 0-based element v, where placed
+    already includes v.  A step may drop from next_state whatever no step
+    after `placed` can read; the memo then merges the states that differ
+    only there, and the counts stay exact.
 
     Memo values are packed ints, coefficient k in bits [k*w, (k+1)*w) with
     w = slot_width(n), so a step adds its tail shifted by e*w.  No slot
@@ -59,7 +70,7 @@ def _extension_dp(n, down, start, step):
             b = 1 << v
             if placed & b or down[v] & ~placed:
                 continue
-            nxt, e = step(state, v)
+            nxt, e = step(placed | b, state, v)
             acc += rec(placed | b, nxt) << (e * w)
         memo[key] = acc
         return acc
@@ -70,23 +81,35 @@ def _extension_dp(n, down, start, step):
 def poincare_via_lrmax(P: Poset) -> IntPolynomial:
     """Sum of t^(n - #LR maxima) over all linear extensions.
 
-    State (cur, prev, first, runm): levels break when a new element dominates
-    the current level cur; an element is an LR maximum on level one always,
-    deeper iff it dominates the previous level, and only above the running
-    maximum runm.  Every placed element that is not an LR maximum scores t.
+    State (cur, prev, first, above): levels break when a new element
+    dominates the current level cur; an element is an LR maximum on level
+    one always, deeper iff it dominates the previous level prev, and only
+    if it is in `above`, the unplaced elements larger than the running
+    maximum.  Every placed element that is not an LR maximum scores t.
+    cur and prev keep only their bits in live(placed), computed once per
+    placed mask; the module docstring says why this is exact.
     """
+    n = P.n
     down = P._down
+    full = (1 << n) - 1
+    lives = {}
 
-    def step(state, v):
-        cur, prev, first, runm = state
+    def step(placed, state, v):
+        cur, prev, first, above = state
+        live = lives.get(placed)
+        if live is None:
+            live = 0
+            for u in _bits(full & ~placed):
+                live |= down[u]
+            lives[placed] = live
         b = 1 << v
         if down[v] & cur:
-            return (b, cur, False, v), 0
-        if (first or down[v] & prev) and v > runm:
-            return (cur | b, prev, first, v), 0
-        return (cur | b, prev, first, runm), 1
+            return (b & live, cur & live, False, full & ~placed & -(b << 1)), 0
+        if (first or down[v] & prev) and above & b:
+            return ((cur | b) & live, prev & live, first, above & -(b << 1)), 0
+        return ((cur | b) & live, prev & live, first, above & ~b), 1
 
-    return _extension_dp(P.n, down, (0, 0, True, -1), step)
+    return _extension_dp(n, down, (0, 0, True, full), step)
 
 
 def poincare_via_foata(a) -> IntPolynomial:
@@ -107,7 +130,7 @@ def poincare_via_width2(P: Poset, d=None) -> IntPolynomial:
     on2 = [d.side(v + 1) == 2 for v in range(n)]
     comp = [P._up[v] | P._down[v] for v in range(n)]
 
-    def step(last, v):
+    def step(_placed, last, v):
         crossing = last >= 0 and on2[last] and not on2[v] and not comp[last] >> v & 1
         return v, int(crossing)
 
@@ -153,4 +176,4 @@ def p_eulerian(P: Poset) -> IntPolynomial:
 
     if not is_linear_extension(P, ident):
         raise NotNaturallyLabeled("identity word is not a linear extension")
-    return _extension_dp(n, P._down, -1, lambda last, v: (v, int(last > v)))
+    return _extension_dp(n, P._down, -1, lambda _placed, last, v: (v, int(last > v)))

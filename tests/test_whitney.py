@@ -218,7 +218,8 @@ def test_auto_dispatch_never_runs_the_lrmax_dp(monkeypatch):
 
 def _list_extension_dp(n, down, start, step):
     """The extension automaton on coefficient lists, one small int at a
-    time, as it ran before its memo values were packed into ints (oracle)."""
+    time, as it ran before its memo values were packed into ints (oracle).
+    The number of memo states of its last run is kept in `.states`."""
     full = (1 << n) - 1
     memo = {}
 
@@ -233,14 +234,49 @@ def _list_extension_dp(n, down, start, step):
             b = 1 << v
             if placed & b or down[v] & ~placed:
                 continue
-            nxt, e = step(state, v)
+            nxt, e = step(placed | b, state, v)
             for k, c in enumerate(rec(placed | b, nxt)):
                 if c:
                     acc[k + e] += c
         memo[key] = acc
         return acc
 
-    return IntPolynomial(rec(0, start))
+    out = IntPolynomial(rec(0, start))
+    _list_extension_dp.states = len(memo)
+    return out
+
+
+def _unmasked_lrmax_step(P):
+    """The lrmax step on the full state (cur, prev, first, runm), with no
+    bit dropped: the oracle for the masked state of `poincare_via_lrmax`."""
+    down = P._down
+
+    def step(_placed, state, v):
+        cur, prev, first, runm = state
+        b = 1 << v
+        if down[v] & cur:
+            return (b, cur, False, v), 0
+        if (first or down[v] & prev) and v > runm:
+            return (cur | b, prev, first, v), 0
+        return (cur | b, prev, first, runm), 1
+
+    return step
+
+
+def _prevless_lrmax_step(P):
+    """`_unmasked_lrmax_step` with prev dropped from the state, so a deeper
+    element is never an LR maximum (negative control)."""
+    step = _unmasked_lrmax_step(P)
+
+    def forgetful(placed, state, v):
+        (cur, _, first, runm), e = step(placed, state, v)
+        return (cur, 0, first, runm), e
+
+    return forgetful
+
+
+def _lrmax_oracle(P, make_step=_unmasked_lrmax_step):
+    return whitney._extension_dp(P.n, P._down, (0, 0, True, -1), make_step(P))
 
 
 def _automaton_routes(P):
@@ -265,11 +301,36 @@ def test_packed_automaton_matches_list_oracle(monkeypatch):
         assert _automaton_routes(P) == want, P.relations()
 
 
+CHAIN_UNIONS = ([1] * 8, [2] * 6, [3] * 5, [4, 4, 4], [7, 1, 1, 1, 1], [5, 3, 2, 1], [6, 5])
+
+
 def test_packed_automaton_on_chain_unions_sums_to_multinomial():
-    for a in ([1] * 8, [2] * 6, [3] * 5, [4, 4, 4], [7, 1, 1, 1, 1], [5, 3, 2, 1], [6, 5]):
+    for a in CHAIN_UNIONS:
         want = multinomial(a)
         P = union_of_chains(a)
         assert poincare_via_lrmax(P)(1) == want, a
         assert p_eulerian(P)(1) == want, a
         if len(a) <= 2:
             assert poincare_via_width2(P)(1) == want, a
+
+
+def test_masked_lrmax_state_matches_unmasked_oracle():
+    corpus = packed_kernel_corpus()
+    for P in corpus:
+        assert poincare_via_lrmax(P) == _lrmax_oracle(P), P.relations()
+    for a in CHAIN_UNIONS:
+        P = union_of_chains(a)
+        assert poincare_via_lrmax(P) == _lrmax_oracle(P), a
+    # negative control: the oracle comparison sees a state that forgets prev
+    assert any(_lrmax_oracle(P, _prevless_lrmax_step) != _lrmax_oracle(P) for P in corpus)
+
+
+@pytest.mark.parametrize("P, most", [
+    (random_poset(14, 0.15, random.Random(2)), 6000),  # 317 384 unmasked
+    (union_of_chains([2] * 5), 2000),  # 7 172 unmasked
+    (grid(4, 5), 1567),
+])
+def test_masked_lrmax_state_bounds_the_work(monkeypatch, P, most):
+    monkeypatch.setattr(whitney, "_extension_dp", _list_extension_dp)
+    assert poincare_via_lrmax(P) == poincare_via_transverse(P)
+    assert _list_extension_dp.states <= most
