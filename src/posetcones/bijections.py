@@ -25,12 +25,11 @@ from .errors import (
 )
 from .partitions import (
     SetPartition,
-    _min_mask,
     _quotient_peel,
     check_transverse,
     enumerate_transverse,
 )
-from .posets import Poset, _label_mask, is_linear_extension
+from .posets import Poset, _label_mask, _min_mask, is_linear_extension
 
 
 class Permutation:

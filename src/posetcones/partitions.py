@@ -27,6 +27,11 @@ Permutations of the free labels give the Stirling sum; each forbidden label
 is then inserted after an existing element in cycle notation, with a, a+1,
 ..., a+f-1 choices in turn, which adds one to the size but no cycle.
 
+Both recursions remove a layer of minima from an up-set alive, and a
+minimum of what remains that was not a minimum before must cover a removed
+element.  So the DP finds a state's minima from its parent's minima and the
+cover rows of the layer it took, never by scanning the alive set.
+
 The DP keeps each coefficient vector as one nonnegative int, coefficient d
 in bits [d*w, (d+1)*w) with w from `polynomials.slot_width` (Kronecker
 substitution), so adding W(a, f) times a tail is one big-int multiply.
@@ -40,7 +45,7 @@ from math import factorial
 from .errors import IndexOutOfRange, NotTransverse, ParseError
 from .genfun import stirling_first_kind_row
 from .polynomials import slot_width, unpack_slots
-from .posets import Poset, _bits, _label_mask
+from .posets import Poset, _bits, _cover_rows, _label_mask, _min_mask, _minima_after
 
 
 class SetPartition:
@@ -233,18 +238,6 @@ def check_transverse(P: Poset, pi: SetPartition):
 
 # -- layered enumeration ------------------------------------------------------
 
-def _min_mask(down, alive):
-    m = 0
-    x = alive
-    while x:
-        low = x & -x
-        v = low.bit_length() - 1
-        if not down[v] & alive:
-            m |= low
-        x ^= low
-    return m
-
-
 def _layer_choices(min_mask, forbidden, up=(), targets=0):
     """Partitions of each nonempty subset S of min_mask whose blocks all
     contain at least one vertex outside `forbidden` and after which the
@@ -358,6 +351,12 @@ def transverse_poly_coeffs(P: Poset):
     forbidden has no layer and contributes zero; it is memoized too, since
     many layer choices lead to the same dead state.
 
+    Each call carries the minima of its alive set.  Taking the layer S
+    leaves alive - S, whose minima are the untaken minima plus the covers
+    of S whose down rows miss alive - S (`posets._minima_after`), since a
+    new minimum must cover a removed one.  A child is looked up in the memo
+    before the call, so a memo hit costs no call and no minima.
+
     Memo values are packed ints (module docstring), w = slot_width(n).  No
     slot carries: a state's coefficients are nonnegative and sum to its
     |mu|-weighted count of restricted transverse partitions, at most the
@@ -365,21 +364,13 @@ def transverse_poly_coeffs(P: Poset):
     """
     n = P.n
     down = P._down
+    cover = _cover_rows(down)
     w = slot_width(n)
-    memo = {}
+    full = (1 << n) - 1
+    memo = {(0, 0): 1}
 
-    def rec(alive, forbidden):
-        if not alive:
-            return 1
-        key = (alive, forbidden)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        mm = _min_mask(down, alive)
+    def rec(alive, forbidden, mm):
         free = mm & ~forbidden
-        if not free:
-            memo[key] = 0
-            return 0
         forb = mm & forbidden
         acc = 0
         sa = free
@@ -388,17 +379,21 @@ def transverse_poly_coeffs(P: Poset):
             sf = forb
             while True:
                 s = sa | sf
-                tail = rec(alive & ~s, mm & ~s)
+                rest = alive & ~s
+                left = mm & ~s
+                tail = memo.get((rest, left))
+                if tail is None:
+                    tail = rec(rest, left, _minima_after(mm, s, rest, down, cover))
                 if tail:
                     acc += _packed_layer_weight(a, sf.bit_count(), w) * tail
                 if not sf:
                     break
                 sf = (sf - 1) & forb
             sa = (sa - 1) & free
-        memo[key] = acc
+        memo[alive, forbidden] = acc
         return acc
 
-    return unpack_slots(rec((1 << n) - 1, 0), w)
+    return unpack_slots(rec(full, 0, _min_mask(down, full)) if n else 1, w)
 
 
 def brute_force_transverse(P: Poset):

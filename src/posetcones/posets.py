@@ -57,14 +57,9 @@ class Poset:
         return out
 
     def covers(self):
-        """Cover pairs (i, j): i <_P j with nothing strictly between."""
-        out = []
-        for i in range(self.n):
-            row = self._up[i]
-            for j in _bits(row):
-                if not row & self._down[j]:
-                    out.append((i + 1, j + 1))
-        return sorted(out)
+        """Cover pairs (i, j): i <_P j with nothing strictly between, sorted."""
+        return [(i + 1, j + 1) for i, row in enumerate(_cover_rows(self._down))
+                for j in _bits(row)]
 
     def minimal_elements(self):
         return [i + 1 for i in range(self.n) if not self._down[i]]
@@ -90,6 +85,55 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# -- down-set mask walks ------------------------------------------------------
+
+def _cover_rows(down):
+    """Upper cover rows from the down rows: bit j of row i is set iff j
+    covers i.  The elements j covers are the maxima of down[j], those below
+    no other element of down[j]."""
+    rows = [0] * len(down)
+    for j, below in enumerate(down):
+        deeper = 0
+        for k in _bits(below):
+            deeper |= down[k]
+        for i in _bits(below & ~deeper):
+            rows[i] |= 1 << j
+    return rows
+
+
+def _min_mask(down, alive):
+    """Minima of alive, by a scan of every alive bit.  The memoized walks
+    scan only their root and step with `_minima_after`."""
+    m = 0
+    x = alive
+    while x:
+        low = x & -x
+        v = low.bit_length() - 1
+        if not down[v] & alive:
+            m |= low
+        x ^= low
+    return m
+
+
+def _minima_after(mins, s, rest, down, cover):
+    """Minima of rest = alive - s, where mins are the minima of the up-set
+    alive and s is a subset of mins.  A minimum of rest that was not one of
+    alive covers an element of s, so besides mins - s only the covers of
+    s are tested: each is minimal iff its down row misses rest."""
+    new = mins & ~s
+    lifted = 0
+    while s:
+        low = s & -s
+        lifted |= cover[low.bit_length() - 1]
+        s ^= low
+    while lifted:
+        low = lifted & -lifted
+        if not down[low.bit_length() - 1] & rest:
+            new |= low
+        lifted ^= low
+    return new
 
 
 def poset_from_relations(n, pairs, max_n=DEFAULT_MAX_N) -> Poset:
@@ -244,26 +288,34 @@ def is_linear_extension(P: Poset, word) -> bool:
 
 
 def count_linear_extensions(P: Poset) -> int:
-    """Exact count by DP over down-set masks (memo keyed by placed-mask)."""
+    """Exact count by DP over down-set masks (memo keyed by placed-mask).
+
+    Each call carries the minima of the unplaced elements; a child's minima
+    are the rest of them plus the covers of the placed one whose down rows
+    are then all placed (`_minima_after`).  A child found in the memo costs
+    no call.
+    """
     n = P.n
     down = P._down
+    cover = _cover_rows(down)
     full = (1 << n) - 1
     memo = {full: 1}
 
-    def rec(placed):
-        val = memo.get(placed)
-        if val is not None:
-            return val
+    def rec(placed, mins):
         total = 0
-        for v in range(n):
-            b = 1 << v
-            if placed & b or down[v] & ~placed:
-                continue
-            total += rec(placed | b)
+        x = mins
+        while x:
+            b = x & -x
+            x ^= b
+            nxt = placed | b
+            val = memo.get(nxt)
+            if val is None:
+                val = rec(nxt, _minima_after(mins, b, ~nxt, down, cover))
+            total += val
         memo[placed] = total
         return total
 
-    return rec(0)
+    return rec(0, _min_mask(down, full)) if n else 1
 
 
 # -- width and chain covers -------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .errors import NotNaturallyLabeled
 from .polynomials import IntPolynomial, slot_width, unpack_slots
-from .posets import Poset, _bits, chain_cover_width2
+from .posets import Poset, _bits, _cover_rows, _min_mask, _minima_after, chain_cover_width2
 from .partitions import transverse_poly_coeffs
 
 
@@ -49,33 +49,39 @@ def _extension_dp(n, down, start, step):
     after `placed` can read; the memo then merges the states that differ
     only there, and the counts stay exact.
 
+    Each call carries the minima of the unplaced elements, which are the
+    elements that can be placed next.  Placing v leaves the other minima
+    plus the covers of v whose down rows are then all placed
+    (`posets._minima_after`); a child found in the memo costs no call.
+
     Memo values are packed ints, coefficient k in bits [k*w, (k+1)*w) with
     w = slot_width(n), so a step adds its tail shifted by e*w.  No slot
     carries: the coefficients at (placed, state) are nonnegative and count
     the linear extensions of the unplaced subposet, at most n! < 2^w.
     """
     full = (1 << n) - 1
+    cover = _cover_rows(down)
     w = slot_width(n)
     memo = {}
 
-    def rec(placed, state):
+    def rec(placed, state, mins):
         if placed == full:
             return 1
-        key = (placed, state)
-        got = memo.get(key)
-        if got is not None:
-            return got
         acc = 0
-        for v in range(n):
-            b = 1 << v
-            if placed & b or down[v] & ~placed:
-                continue
-            nxt, e = step(placed | b, state, v)
-            acc += rec(placed | b, nxt) << (e * w)
-        memo[key] = acc
+        x = mins
+        while x:
+            b = x & -x
+            x ^= b
+            nxt = placed | b
+            after, e = step(nxt, state, b.bit_length() - 1)
+            tail = memo.get((nxt, after))
+            if tail is None:
+                tail = rec(nxt, after, _minima_after(mins, b, ~nxt, down, cover))
+            acc += tail << (e * w)
+        memo[placed, state] = acc
         return acc
 
-    return IntPolynomial(unpack_slots(rec(0, start), w))
+    return IntPolynomial(unpack_slots(rec(0, start, _min_mask(down, full)), w))
 
 
 def poincare_via_lrmax(P: Poset) -> IntPolynomial:

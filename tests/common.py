@@ -5,7 +5,10 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from posetcones import grid, poset_from_relations, random_poset
+from posetcones import IntPolynomial, grid, poset_from_relations, random_poset
+from posetcones.partitions import _packed_layer_weight
+from posetcones.polynomials import slot_width, unpack_slots
+from posetcones.posets import _min_mask
 
 
 def is_transitive(rel):
@@ -69,3 +72,100 @@ def multinomial(a):
     for k in a:
         out //= factorial(k)
     return out
+
+
+CHAIN_UNIONS = ([1] * 8, [2] * 6, [3] * 5, [4, 4, 4], [7, 1, 1, 1, 1], [5, 3, 2, 1], [6, 5])
+
+
+# -- rescanning down-set walks (oracles) ---------------------------------------
+#
+# The three memoized walks as they ran before they carried their minima:
+# each state finds its minima by scanning every alive bit or every label.
+
+def rescan_transverse_poly_coeffs(P):
+    """`partitions.transverse_poly_coeffs` with `_min_mask` per state."""
+    n = P.n
+    down = P._down
+    w = slot_width(n)
+    memo = {}
+
+    def rec(alive, forbidden):
+        if not alive:
+            return 1
+        key = (alive, forbidden)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        mm = _min_mask(down, alive)
+        free = mm & ~forbidden
+        if not free:
+            memo[key] = 0
+            return 0
+        forb = mm & forbidden
+        acc = 0
+        sa = free
+        while sa:
+            a = sa.bit_count()
+            sf = forb
+            while True:
+                s = sa | sf
+                tail = rec(alive & ~s, mm & ~s)
+                if tail:
+                    acc += _packed_layer_weight(a, sf.bit_count(), w) * tail
+                if not sf:
+                    break
+                sf = (sf - 1) & forb
+            sa = (sa - 1) & free
+        memo[key] = acc
+        return acc
+
+    return unpack_slots(rec((1 << n) - 1, 0), w)
+
+
+def rescan_count_linear_extensions(P):
+    """`posets.count_linear_extensions` testing every label per state."""
+    n = P.n
+    down = P._down
+    full = (1 << n) - 1
+    memo = {full: 1}
+
+    def rec(placed):
+        val = memo.get(placed)
+        if val is not None:
+            return val
+        total = 0
+        for v in range(n):
+            b = 1 << v
+            if placed & b or down[v] & ~placed:
+                continue
+            total += rec(placed | b)
+        memo[placed] = total
+        return total
+
+    return rec(0)
+
+
+def rescan_extension_dp(n, down, start, step):
+    """`whitney._extension_dp` testing every label per state."""
+    full = (1 << n) - 1
+    w = slot_width(n)
+    memo = {}
+
+    def rec(placed, state):
+        if placed == full:
+            return 1
+        key = (placed, state)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        acc = 0
+        for v in range(n):
+            b = 1 << v
+            if placed & b or down[v] & ~placed:
+                continue
+            nxt, e = step(placed | b, state, v)
+            acc += rec(placed | b, nxt) << (e * w)
+        memo[key] = acc
+        return acc
+
+    return IntPolynomial(unpack_slots(rec(0, start), w))

@@ -1,0 +1,116 @@
+"""The three memoized down-set walks (the transverse DP, the linear-extension
+count and the extension automaton) carry each state's minima from its
+parent's; here they are compared with the rescanning walks of
+`common`, which find every state's minima from scratch."""
+
+import random
+from functools import lru_cache
+
+import pytest
+
+from posetcones import (
+    antichain,
+    count_linear_extensions,
+    grid,
+    is_linear_extension,
+    p_eulerian,
+    poincare_via_lrmax,
+    poincare_via_width2,
+    random_poset,
+    transverse_poly_coeffs,
+    union_of_chains,
+    width,
+)
+from posetcones import partitions, posets, whitney
+
+import common
+from common import (
+    CHAIN_UNIONS,
+    all_labeled_posets,
+    rescan_count_linear_extensions,
+    rescan_extension_dp,
+    rescan_transverse_poly_coeffs,
+)
+
+
+@lru_cache(maxsize=None)
+def walk_corpus():
+    """Every labeled poset with n <= 5, seeded random posets with n <= 12 at
+    p = 0.1, 0.3 and 0.6, grids 3x2..3x6 and 4x4, ladders 2x3..2x8, the
+    chain unions of `common` and antichains 0..10."""
+    out = [P for n in range(6) for P in all_labeled_posets(n)]
+    rng = random.Random(12)
+    for p in (0.1, 0.3, 0.6):
+        out += [random_poset(rng.randint(6, 12), p, rng) for _ in range(25)]
+    out += [grid(3, k) for k in range(2, 7)] + [grid(4, 4)]
+    out += [grid(2, k) for k in range(3, 9)]
+    out += [union_of_chains(a) for a in CHAIN_UNIONS]
+    out += [antichain(n) for n in range(11)]
+    return tuple(out)
+
+
+def _automaton_routes(P):
+    """lrmax always, width2 when the width is at most 2, Eulerian when the
+    labeling is natural; None marks a route that does not apply."""
+    return (
+        poincare_via_lrmax(P),
+        poincare_via_width2(P) if width(P) <= 2 else None,
+        p_eulerian(P) if is_linear_extension(P, range(1, P.n + 1)) else None,
+    )
+
+
+def test_transverse_dp_matches_rescan_oracle():
+    for P in walk_corpus():
+        assert transverse_poly_coeffs(P) == rescan_transverse_poly_coeffs(P), P.relations()
+
+
+def test_linear_extension_count_matches_rescan_oracle():
+    for P in walk_corpus():
+        assert count_linear_extensions(P) == rescan_count_linear_extensions(P), P.relations()
+
+
+def test_extension_automaton_matches_rescan_oracle(monkeypatch):
+    for P in walk_corpus():
+        got = _automaton_routes(P)
+        with monkeypatch.context() as patched:
+            patched.setattr(whitney, "_extension_dp", rescan_extension_dp)
+            assert _automaton_routes(P) == got, P.relations()
+
+
+def test_cover_rows_match_the_definition():
+    for P in walk_corpus():
+        labels = range(1, P.n + 1)
+        want = [(i, j) for i in labels for j in labels if P.less(i, j)
+                and not any(P.less(i, k) and P.less(k, j) for k in labels)]
+        assert P.covers() == want, P.relations()
+
+
+def _counting(monkeypatch, module):
+    calls = []
+    scan = module._min_mask
+
+    def counted(down, alive):
+        calls.append(alive)
+        return scan(down, alive)
+
+    monkeypatch.setattr(module, "_min_mask", counted)
+    return calls
+
+
+@pytest.mark.parametrize("module, walk", [
+    (partitions, transverse_poly_coeffs),
+    (posets, count_linear_extensions),
+    (whitney, poincare_via_lrmax),
+])
+def test_walks_scan_for_minima_only_at_the_root(monkeypatch, module, walk):
+    P = grid(4, 6)
+    calls = _counting(monkeypatch, module)
+    walk(P)
+    assert calls == [(1 << P.n) - 1]
+
+
+def test_rescan_oracle_scans_once_per_state(monkeypatch):
+    # negative control: the counter sees a walk that rescans every state
+    calls = _counting(monkeypatch, common)
+    rescan_transverse_poly_coeffs(grid(4, 6))
+    assert len(calls) > 100

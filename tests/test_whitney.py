@@ -35,7 +35,7 @@ from posetcones import (
 from posetcones import whitney
 from posetcones.whitney import auto_method
 
-from common import multinomial, packed_kernel_corpus
+from common import CHAIN_UNIONS, multinomial, packed_kernel_corpus
 
 
 def poly(*coeffs):
@@ -299,9 +299,6 @@ def test_packed_automaton_matches_list_oracle(monkeypatch):
     monkeypatch.setattr(whitney, "_extension_dp", _list_extension_dp)
     for P, want in zip(corpus, packed):
         assert _automaton_routes(P) == want, P.relations()
-
-
-CHAIN_UNIONS = ([1] * 8, [2] * 6, [3] * 5, [4, 4, 4], [7, 1, 1, 1, 1], [5, 3, 2, 1], [6, 5])
 
 
 def test_packed_automaton_on_chain_unions_sums_to_multinomial():
