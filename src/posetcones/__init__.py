@@ -43,7 +43,6 @@ from .partitions import (
     all_partitions,
     enumerate_transverse,
     is_transverse,
-    mobius_abs,
     parse_partition,
     partition_to_text,
     quotient_preposet,
@@ -93,8 +92,6 @@ from .foata import (
 from .genfun import (
     TruncatedSeries,
     chains_gf_rhs,
-    coefficient,
-    elementary_symmetric,
     falling_bracket,
     fcyc_distribution,
     mmt_bracket,

@@ -1,15 +1,23 @@
 """Multivariate generating function for disjoint-chain cone polynomials.
 
-Series live in Z[t][[x_1..x_ell]] truncated at a total degree cap, stored
-sparsely as exponent tuple -> coefficient polynomial.  The master identity
-inverts 1 minus a bracket-weighted sum of elementary symmetric polynomials,
-one coefficient at a time in lex order of the exponents: each coefficient of
-the inverse is a sum over coefficients already found.
+The paper's master identity g = (1 - sum_j beta_j e_j)^{-1}, with e_j the
+elementary symmetric polynomials in x_1..x_ell, reads coefficient-wise as
+
+    g_0 = 1,    g_a = sum over nonempty S in supp a of beta_|S| g_(a - 1_S).
+
+With beta_j = falling_bracket(j), g_a is the cone polynomial of disjoint
+chains with multiplicities a; with beta_j = -mmt_bracket(j), the factor
+count distribution of the words with support a.  g is symmetric, so it is
+memoized on the sorted positive parts of a: for each distinct part of
+multiplicity m the step decrements k of them, a choice taken C(m, k) ways,
+and the choices with sum k = j take beta_j.  `TruncatedSeries` holds the
+coefficients up to a total degree cap.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import product
+from math import comb
 
 from .errors import DegreeExceeded
 from .polynomials import IntPolynomial
@@ -29,81 +37,6 @@ class TruncatedSeries:
                 if sum(exps) <= cap and poly:
                     self.terms[tuple(exps)] = poly
 
-    @classmethod
-    def zero(cls, ell, cap):
-        return cls(ell, cap)
-
-    @classmethod
-    def one(cls, ell, cap):
-        return cls(ell, cap, {(0,) * ell: IntPolynomial.one()})
-
-    @classmethod
-    def monomial(cls, ell, cap, exps, poly=None):
-        return cls(ell, cap, {tuple(exps): poly if poly is not None else IntPolynomial.one()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for exps, poly in other.terms.items():
-            got = out.get(exps)
-            s = poly if got is None else got + poly
-            if s:
-                out[exps] = s
-            elif got is not None:
-                del out[exps]
-        return TruncatedSeries(self.ell, self.cap, out)
-
-    def __sub__(self, other):
-        return self + other.scaled(IntPolynomial([-1]))
-
-    def scaled(self, poly: IntPolynomial):
-        return TruncatedSeries(
-            self.ell, self.cap,
-            {exps: p * poly for exps, p in self.terms.items()},
-        )
-
-    def __mul__(self, other):
-        out = {}
-        for e1, p1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, p2 in other.terms.items():
-                if d1 + sum(e2) > self.cap:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = p1 * p2
-                got = out.get(key)
-                s = prod if got is None else got + prod
-                if s:
-                    out[key] = s
-                elif got is not None:
-                    del out[key]
-        return TruncatedSeries(self.ell, self.cap, out)
-
-    def inverse(self):
-        """Inverse in one pass; the constant coefficient must be exactly 1.
-
-        With s = 1 - self, g_0 = 1 and g_e = sum_{e' != 0} s_e' g_{e - e'};
-        lex order puts every e - e' before e.
-        """
-        zero = (0,) * self.ell
-        if self.terms.get(zero) != IntPolynomial.one():
-            raise ValueError("inverse needs constant coefficient 1")
-        s = [(e, [-c for c in p.coeffs]) for e, p in self.terms.items() if e != zero]
-        g = {zero: [1]}
-        for e in _compositions_upto(self.ell, self.cap)[1:]:
-            acc = []
-            for e1, c1 in s:
-                c2 = g.get(tuple(x - y for x, y in zip(e, e1)))
-                if c2:
-                    acc.extend([0] * (len(c1) + len(c2) - 1 - len(acc)))
-                    for i, x in enumerate(c1):
-                        for j, y in enumerate(c2):
-                            acc[i + j] += x * y
-            while acc and acc[-1] == 0:
-                acc.pop()
-            g[e] = acc
-        return TruncatedSeries(self.ell, self.cap,
-                               {e: IntPolynomial(c) for e, c in g.items()})
-
     def coefficient(self, exps) -> IntPolynomial:
         exps = tuple(exps)
         if len(exps) != self.ell:
@@ -119,17 +52,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries(ell={self.ell}, cap={self.cap}, nterms={len(self.terms)})"
-
-
-def elementary_symmetric(ell, j, cap) -> TruncatedSeries:
-    terms = {}
-    if 0 <= j <= ell and j <= cap:
-        for subset in combinations(range(ell), j):
-            exps = [0] * ell
-            for i in subset:
-                exps[i] = 1
-            terms[tuple(exps)] = IntPolynomial.one()
-    return TruncatedSeries(ell, cap, terms)
 
 
 def falling_bracket(j) -> IntPolynomial:
@@ -148,29 +70,56 @@ def mmt_bracket(j) -> IntPolynomial:
     return out
 
 
-def _check_size(ell, cap):
+def _symmetric_series(ell, cap, beta) -> TruncatedSeries:
+    """(1 - sum_j beta(j) e_j)^{-1} by the recursion of the module docstring.
+    Compositions come in lex order and each a - 1_S precedes a, so every
+    key a step reads is already in the memo."""
     if ell < 0 or cap < 0:
         raise DegreeExceeded(f"ell and cap must be nonnegative, got ell={ell}, cap={cap}")
+    betas = [beta(j).coeffs for j in range(min(ell, cap) + 1)]
+    memo = {(): IntPolynomial.one()}
+    terms = {}
+    for a in _compositions_upto(ell, cap):
+        key = tuple(sorted(x for x in a if x))
+        if key not in memo:
+            memo[key] = IntPolynomial(_coefficient(key, memo, betas))
+        terms[a] = memo[key]
+    return TruncatedSeries(ell, cap, terms)
+
+
+def _coefficient(parts, memo, betas):
+    """g at the sorted positive parts, as a coefficient list; its degree
+    is at most the total of the parts."""
+    groups = [(v, parts.count(v)) for v in sorted(set(parts))]
+    out = [0] * (sum(parts) + 1)
+    for ks in product(*(range(m + 1) for _, m in groups)):
+        j = sum(ks)
+        if not j:
+            continue
+        weight = 1
+        child = []
+        for (v, m), k in zip(groups, ks):
+            weight *= comb(m, k)
+            if v > 1:
+                child += [v - 1] * k
+            child += [v] * (m - k)
+        for d, c in enumerate(memo[tuple(child)].coeffs):
+            c *= weight
+            for i, b in enumerate(betas[j], d):
+                out[i] += b * c
+    return out
 
 
 def chains_gf_rhs(ell, cap) -> TruncatedSeries:
     """(1 - sum_j falling_bracket(j) e_j)^{-1}; the x^a coefficient is the
     cone polynomial of disjoint chains with multiplicities a."""
-    _check_size(ell, cap)
-    body = TruncatedSeries.one(ell, cap)
-    for j in range(1, min(ell, cap) + 1):
-        body = body - elementary_symmetric(ell, j, cap).scaled(falling_bracket(j))
-    return body.inverse()
+    return _symmetric_series(ell, cap, falling_bracket)
 
 
 def tmmt_rhs(ell, cap) -> TruncatedSeries:
     """(1 + sum_j mmt_bracket(j) e_j)^{-1}; the x^a coefficient is the factor
     count distribution sum_sigma t^fcyc over words with support a."""
-    _check_size(ell, cap)
-    body = TruncatedSeries.one(ell, cap)
-    for j in range(1, min(ell, cap) + 1):
-        body = body + elementary_symmetric(ell, j, cap).scaled(mmt_bracket(j))
-    return body.inverse()
+    return _symmetric_series(ell, cap, lambda j: -mmt_bracket(j))
 
 
 def _compositions_upto(ell, cap):
@@ -180,10 +129,6 @@ def _compositions_upto(ell, cap):
         return [()]
     return [(first,) + rest for first in range(cap + 1)
             for rest in _compositions_upto(ell - 1, cap - first)]
-
-
-def coefficient(S: TruncatedSeries, a) -> IntPolynomial:
-    return S.coefficient(a)
 
 
 def verify_chains_gf(ell, cap):

@@ -348,8 +348,10 @@ def transverse_poly_coeffs(P: Poset):
     numbers a of free and f of forbidden minima it takes, so each layer
     subset multiplies its tail by the closed form W(a, f) of the module
     docstring and no partition is built.  A state whose minima are all
-    forbidden has no layer and contributes zero; it is memoized too, since
-    many layer choices lead to the same dead state.
+    forbidden has no layer and contributes zero.  A child with rest == left
+    (only untaken minima remain, now forbidden, as on an antichain) is one on
+    sight and gets no call, no minima and no memo entry; other dead states
+    are memoized, since many layer choices lead to them.
 
     Each call carries the minima of its alive set.  Taking the layer S
     leaves alive - S, whose minima are the untaken minima plus the covers
@@ -381,7 +383,7 @@ def transverse_poly_coeffs(P: Poset):
                 s = sa | sf
                 rest = alive & ~s
                 left = mm & ~s
-                tail = memo.get((rest, left))
+                tail = 0 if rest == left and rest else memo.get((rest, left))
                 if tail is None:
                     tail = rec(rest, left, _minima_after(mm, s, rest, down, cover))
                 if tail:
@@ -403,10 +405,6 @@ def brute_force_transverse(P: Poset):
 
 def singleton_partition(n: int) -> SetPartition:
     return SetPartition(n, [[i] for i in range(1, n + 1)])
-
-
-def mobius_abs(pi: SetPartition) -> int:
-    return pi.mobius_abs()
 
 
 def transverse_count_check(P: Poset) -> bool:

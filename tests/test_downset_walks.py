@@ -114,3 +114,23 @@ def test_rescan_oracle_scans_once_per_state(monkeypatch):
     calls = _counting(monkeypatch, common)
     rescan_transverse_poly_coeffs(grid(4, 6))
     assert len(calls) > 100
+
+
+@pytest.mark.parametrize("P, want", [
+    (antichain(12), 0),
+    (antichain(16), 0),
+    (grid(4, 6), 513),
+], ids=["antichain-12", "antichain-16", "grid-4x6"])
+def test_transverse_dp_steps_no_dead_antichain_child(monkeypatch, P, want):
+    # a child that is only untaken, now forbidden, minima is 0 on sight:
+    # an antichain's 2^n - 2 such children cost no minima step
+    calls = []
+    step = partitions._minima_after
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(partitions, "_minima_after", counted)
+    transverse_poly_coeffs(P)
+    assert len(calls) == want

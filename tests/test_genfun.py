@@ -1,5 +1,6 @@
 import random
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -9,8 +10,6 @@ from posetcones import (
     TruncatedSeries,
     antichain,
     chains_gf_rhs,
-    coefficient,
-    elementary_symmetric,
     falling_bracket,
     fcyc_distribution,
     mmt_bracket,
@@ -22,15 +21,137 @@ from posetcones import (
 )
 from posetcones.genfun import _compositions_upto
 
+from common import multinomial
+
 
 def poly(*coeffs):
     return IntPolynomial(coeffs)
 
 
+# -- the series ring (oracle) -----------------------------------------------------
+#
+# The truncated-series arithmetic that computed chains_gf_rhs and tmmt_rhs
+# before the coefficient recursion replaced it: the master identity built
+# as a series and inverted one coefficient at a time.
+
+
+class Series(TruncatedSeries):
+    """TruncatedSeries with addition, scaling, products and the inverse."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, ell, cap):
+        return cls(ell, cap)
+
+    @classmethod
+    def one(cls, ell, cap):
+        return cls(ell, cap, {(0,) * ell: IntPolynomial.one()})
+
+    @classmethod
+    def monomial(cls, ell, cap, exps, poly=None):
+        return cls(ell, cap, {tuple(exps): poly if poly is not None else IntPolynomial.one()})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for exps, poly in other.terms.items():
+            got = out.get(exps)
+            s = poly if got is None else got + poly
+            if s:
+                out[exps] = s
+            elif got is not None:
+                del out[exps]
+        return Series(self.ell, self.cap, out)
+
+    def __sub__(self, other):
+        return self + other.scaled(IntPolynomial([-1]))
+
+    def scaled(self, poly: IntPolynomial):
+        return Series(
+            self.ell, self.cap,
+            {exps: p * poly for exps, p in self.terms.items()},
+        )
+
+    def __mul__(self, other):
+        out = {}
+        for e1, p1 in self.terms.items():
+            d1 = sum(e1)
+            for e2, p2 in other.terms.items():
+                if d1 + sum(e2) > self.cap:
+                    continue
+                key = tuple(a + b for a, b in zip(e1, e2))
+                prod = p1 * p2
+                got = out.get(key)
+                s = prod if got is None else got + prod
+                if s:
+                    out[key] = s
+                elif got is not None:
+                    del out[key]
+        return Series(self.ell, self.cap, out)
+
+    def inverse(self):
+        """Inverse in one pass; the constant coefficient must be exactly 1.
+
+        With s = 1 - self, g_0 = 1 and g_e = sum_{e' != 0} s_e' g_{e - e'};
+        lex order puts every e - e' before e.
+        """
+        zero = (0,) * self.ell
+        if self.terms.get(zero) != IntPolynomial.one():
+            raise ValueError("inverse needs constant coefficient 1")
+        s = [(e, [-c for c in p.coeffs]) for e, p in self.terms.items() if e != zero]
+        g = {zero: [1]}
+        for e in _compositions_upto(self.ell, self.cap)[1:]:
+            acc = []
+            for e1, c1 in s:
+                c2 = g.get(tuple(x - y for x, y in zip(e, e1)))
+                if c2:
+                    acc.extend([0] * (len(c1) + len(c2) - 1 - len(acc)))
+                    for i, x in enumerate(c1):
+                        for j, y in enumerate(c2):
+                            acc[i + j] += x * y
+            while acc and acc[-1] == 0:
+                acc.pop()
+            g[e] = acc
+        return Series(self.ell, self.cap,
+                      {e: IntPolynomial(c) for e, c in g.items()})
+
+
+def elementary_symmetric(ell, j, cap) -> Series:
+    terms = {}
+    if 0 <= j <= ell and j <= cap:
+        for subset in combinations(range(ell), j):
+            exps = [0] * ell
+            for i in subset:
+                exps[i] = 1
+            terms[tuple(exps)] = IntPolynomial.one()
+    return Series(ell, cap, terms)
+
+
+def geometric_inverse(series):
+    """The cap-fold inverse that the one-pass inverse replaced: with
+    s = 1 - series, acc <- 1 + s * acc, cap times."""
+    one = Series.one(series.ell, series.cap)
+    s = one - series
+    acc = one
+    for _ in range(series.cap):
+        acc = one + s * acc
+    return acc
+
+
+def rhs_bodies(ell, cap):
+    """The series that chains_gf_rhs and tmmt_rhs invert."""
+    chains = tmmt = Series.one(ell, cap)
+    for j in range(1, min(ell, cap) + 1):
+        e_j = elementary_symmetric(ell, j, cap)
+        chains = chains - e_j.scaled(falling_bracket(j))
+        tmmt = tmmt + e_j.scaled(mmt_bracket(j))
+    return chains, tmmt
+
+
 def test_series_arithmetic():
-    one = TruncatedSeries.one(2, 4)
-    x1 = TruncatedSeries.monomial(2, 4, (1, 0))
-    x2 = TruncatedSeries.monomial(2, 4, (0, 1))
+    one = Series.one(2, 4)
+    x1 = Series.monomial(2, 4, (1, 0))
+    x2 = Series.monomial(2, 4, (0, 1))
     s = x1 + x2
     sq = s * s
     assert sq.coefficient((2, 0)) == poly(1)
@@ -45,13 +166,13 @@ def test_series_arithmetic():
 
 def test_series_inverse_is_exact():
     for ell, cap in [(1, 6), (2, 5), (3, 6)]:
-        body = TruncatedSeries.one(ell, cap)
+        body = Series.one(ell, cap)
         for j in range(1, ell + 1):
             body = body - elementary_symmetric(ell, j, cap).scaled(falling_bracket(j))
         inv = body.inverse()
-        assert body * inv == TruncatedSeries.one(ell, cap)
+        assert body * inv == Series.one(ell, cap)
     with pytest.raises(ValueError):
-        TruncatedSeries.zero(2, 3).inverse()
+        Series.zero(2, 3).inverse()
 
 
 def test_elementary_symmetric():
@@ -86,12 +207,12 @@ def test_rhs_coefficients():
 
 def test_coefficient_accessor():
     S = chains_gf_rhs(2, 4)
-    assert coefficient(S, (0, 0)) == poly(1)
-    assert coefficient(S, (2, 2)) == poly(1, 4, 1)
+    assert S.coefficient((0, 0)) == poly(1)
+    assert S.coefficient((2, 2)) == poly(1, 4, 1)
     with pytest.raises(DegreeExceeded):
-        coefficient(S, (3, 3))
+        S.coefficient((3, 3))
     with pytest.raises(DegreeExceeded):
-        coefficient(S, (1, 1, 1))
+        S.coefficient((1, 1, 1))
 
 
 def test_verify_reports():
@@ -162,27 +283,6 @@ def test_fcyc_distribution_small():
     assert fcyc_distribution((1, 1)) == poly(0, 1, 1)
 
 
-def geometric_inverse(series):
-    """The cap-fold inverse that the one-pass inverse replaced: with
-    s = 1 - series, acc <- 1 + s * acc, cap times."""
-    one = TruncatedSeries.one(series.ell, series.cap)
-    s = one - series
-    acc = one
-    for _ in range(series.cap):
-        acc = one + s * acc
-    return acc
-
-
-def rhs_bodies(ell, cap):
-    """The series that chains_gf_rhs and tmmt_rhs invert."""
-    chains = tmmt = TruncatedSeries.one(ell, cap)
-    for j in range(1, min(ell, cap) + 1):
-        e_j = elementary_symmetric(ell, j, cap)
-        chains = chains - e_j.scaled(falling_bracket(j))
-        tmmt = tmmt + e_j.scaled(mmt_bracket(j))
-    return chains, tmmt
-
-
 def test_inverse_matches_geometric_oracle_on_rhs_bodies():
     for ell in range(5):
         for cap in range(9):
@@ -193,6 +293,25 @@ def test_inverse_matches_geometric_oracle_on_rhs_bodies():
             assert tmmt.inverse() == want_tmmt == tmmt_rhs(ell, cap), (ell, cap)
 
 
+@pytest.mark.parametrize("ell, cap", [(5, 6), (6, 6), (13, 2), (0, 12), (12, 0)])
+def test_recursion_matches_series_oracle_beyond_the_grid(ell, cap):
+    chains, tmmt = rhs_bodies(ell, cap)
+    assert chains_gf_rhs(ell, cap) == chains.inverse()
+    assert tmmt_rhs(ell, cap) == tmmt.inverse()
+
+
+def test_recursion_reaches_eight_variables_to_degree_eight():
+    # 12 870 terms, where the series ring's inverse took seconds
+    S = chains_gf_rhs(8, 8)
+    assert set(S.terms) == set(_compositions_upto(8, 8))
+    for a, p in S.terms.items():
+        parts = [x for x in a if x]
+        assert p(1) == multinomial(parts), a
+        if len(parts) == 2:
+            x, y = parts
+            assert p == IntPolynomial([comb(x, k) * comb(y, k) for k in range(min(parts) + 1)]), a
+
+
 def test_inverse_matches_geometric_oracle_on_random_series():
     """Constant 1, lower terms at exponents up to 2 in each variable and
     coefficients in {-1, 0, 1}, so that many integer coefficients of the
@@ -201,18 +320,18 @@ def test_inverse_matches_geometric_oracle_on_random_series():
     cancelled = 0
     for _ in range(300):
         ell, cap = rng.randint(1, 3), rng.randint(1, 6)
-        series = TruncatedSeries.one(ell, cap)
+        series = Series.one(ell, cap)
         for _ in range(rng.randint(1, 5)):
             exps = tuple(rng.randint(0, 2) for _ in range(ell))
             if any(exps):
                 coeffs = [rng.randint(-1, 1) for _ in range(rng.randint(1, 3))]
-                series = series + TruncatedSeries.monomial(ell, cap, exps, IntPolynomial(coeffs))
+                series = series + Series.monomial(ell, cap, exps, IntPolynomial(coeffs))
         inv = series.inverse()
         assert inv == geometric_inverse(series)
-        assert series * inv == TruncatedSeries.one(ell, cap)
+        assert series * inv == Series.one(ell, cap)
         # with every lower coefficient made -|c| nothing cancels: count the
         # coefficients that are nonzero there and 0 in the inverse
-        unsigned = TruncatedSeries(ell, cap, {
+        unsigned = Series(ell, cap, {
             e: p if not any(e) else IntPolynomial([-abs(c) for c in p.coeffs])
             for e, p in series.terms.items()})
         cancelled += sum(inv.coefficient(e).coefficient(k) == 0
@@ -223,7 +342,7 @@ def test_inverse_matches_geometric_oracle_on_random_series():
 
 @pytest.mark.parametrize("const", [(), (2,), (-1,), (1, 1), (0, 1)])
 def test_inverse_needs_unit_constant(const):
-    series = TruncatedSeries.monomial(2, 3, (1, 0)) + TruncatedSeries(
+    series = Series.monomial(2, 3, (1, 0)) + Series(
         2, 3, {(0, 0): IntPolynomial(const)})
     with pytest.raises(ValueError):
         series.inverse()
