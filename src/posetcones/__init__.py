@@ -16,7 +16,7 @@ from .errors import (
     WidthExceeded,
     ZeroPolynomial,
 )
-from .polynomials import IntPolynomial, count_real_roots, poly_from_machine
+from .polynomials import IntPolynomial, count_real_roots, poly_from_machine, stirling_first_kind_row
 from .posets import (
     ChainDecomposition,
     Poset,
@@ -40,23 +40,11 @@ from .posets import (
 )
 from .partitions import (
     SetPartition,
-    all_partitions,
     enumerate_transverse,
     is_transverse,
     parse_partition,
     partition_to_text,
-    quotient_preposet,
-    transverse_count_check,
     transverse_poly_coeffs,
-)
-from .whitney import (
-    p_eulerian,
-    poincare,
-    poincare_via_foata,
-    poincare_via_lrmax,
-    poincare_via_transverse,
-    poincare_via_width2,
-    whitney_numbers,
 )
 from .bijections import (
     LeveledExtension,
@@ -89,13 +77,21 @@ from .foata import (
     parse_multiset_perm,
     prime_decompose,
 )
+from .whitney import (
+    p_eulerian,
+    poincare,
+    poincare_via_foata,
+    poincare_via_lrmax,
+    poincare_via_transverse,
+    poincare_via_width2,
+    whitney_numbers,
+)
 from .genfun import (
     TruncatedSeries,
     chains_gf_rhs,
     falling_bracket,
     fcyc_distribution,
     mmt_bracket,
-    stirling_first_kind_row,
     stirling_row_check,
     tmmt_rhs,
     verify_chains_gf,

@@ -30,10 +30,11 @@ from .genfun import (
     stirling_row_matches,
     verify_chains_gf,
 )
-from .partitions import parse_partition, partition_to_text
+from .partitions import enumerate_transverse, parse_partition, partition_to_text
 from .polynomials import count_real_roots, poly_from_machine
 from .posets import (
     ChainDecomposition,
+    antichain,
     chain_cover_width2,
     count_linear_extensions,
     grid,
@@ -114,8 +115,6 @@ def cmd_linext(args):
 
 
 def cmd_transverse(args):
-    from .partitions import enumerate_transverse
-
     P = _load_poset(args.poset)
     total = 0
     parts = 0
@@ -227,10 +226,7 @@ def cmd_genfun(args):
         return 4 if bad else 0
     if args.n < 0:
         raise ParseError("--n must be nonnegative")
-    from .posets import antichain
-    from .whitney import poincare_via_lrmax
-
-    poly = poincare_via_lrmax(antichain(args.n))
+    poly = whitney.poincare_via_lrmax(antichain(args.n))
     ok = stirling_row_matches(poly, args.n)
     print(_poly_text(poly, args.machine))
     if not args.machine:

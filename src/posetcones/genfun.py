@@ -16,11 +16,14 @@ coefficients up to a total degree cap.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 from .errors import DegreeExceeded
-from .polynomials import IntPolynomial
+from .foata import _fcyc_counts
+from .polynomials import IntPolynomial, stirling_first_kind_row
+from .posets import antichain, union_of_chains
+from .whitney import poincare_via_lrmax, poincare_via_transverse
 
 
 class TruncatedSeries:
@@ -124,11 +127,31 @@ def tmmt_rhs(ell, cap) -> TruncatedSeries:
 
 def _compositions_upto(ell, cap):
     """All exponent tuples with nonnegative parts and total at most cap, in
-    lex order: the first part runs 0..cap, the rest share what is left."""
-    if not ell:
-        return [()]
-    return [(first,) + rest for first in range(cap + 1)
-            for rest in _compositions_upto(ell - 1, cap - first)]
+    lex order: the first part runs 0..cap, the rest share what is left.
+
+    Built without recursion, so ell may be in the thousands.  The successor
+    of a raises its last part while the total is below cap; at the cap it
+    clears the last nonzero part and raises the part before it.
+    """
+    a = [0] * ell
+    out = [tuple(a)]
+    if not (ell and cap):
+        return out
+    total = 0
+    while True:
+        if total < cap:
+            a[-1] += 1
+            total += 1
+        else:
+            j = ell - 1
+            while not a[j]:
+                j -= 1
+            if not j:
+                return out
+            total -= a[j] - 1
+            a[j] = 0
+            a[j - 1] += 1
+        out.append(tuple(a))
 
 
 def verify_chains_gf(ell, cap):
@@ -137,9 +160,6 @@ def verify_chains_gf(ell, cap):
 
     Returns (a, coefficient, matches) triples in lex order of a.
     """
-    from .posets import union_of_chains
-    from .whitney import poincare_via_transverse
-
     rhs = chains_gf_rhs(ell, cap)
     report = []
     for a in _compositions_upto(ell, cap):
@@ -151,27 +171,11 @@ def verify_chains_gf(ell, cap):
 
 def fcyc_distribution(a) -> IntPolynomial:
     """sum over words with support a of t^(number of prime factors)."""
-    from .foata import _fcyc_counts
-
     return IntPolynomial(_fcyc_counts(a))
-
-
-def stirling_first_kind_row(n):
-    """Unsigned Stirling numbers c(n, 0..n) by the standard recurrence."""
-    row = [1]
-    for m in range(1, n + 1):
-        nxt = [0] * (m + 1)
-        for k in range(m):
-            nxt[k] += (m - 1) * row[k]
-            nxt[k + 1] += row[k]
-        row = nxt
-    return row
 
 
 def _cycle_count_census(n):
     """Row c(n, 0..n) counted directly over all n! permutations."""
-    from itertools import permutations
-
     row = [0] * (n + 1)
     for perm in permutations(range(n)):
         seen = [False] * n
@@ -190,9 +194,6 @@ def _cycle_count_census(n):
 
 def stirling_row_check(n) -> bool:
     """`stirling_row_matches` on the lrmax DP's antichain polynomial."""
-    from .posets import antichain
-    from .whitney import poincare_via_lrmax
-
     return stirling_row_matches(poincare_via_lrmax(antichain(n)), n)
 
 

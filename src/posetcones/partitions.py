@@ -43,9 +43,8 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import IndexOutOfRange, NotTransverse, ParseError
-from .genfun import stirling_first_kind_row
-from .polynomials import slot_width, unpack_slots
-from .posets import Poset, _bits, _cover_rows, _label_mask, _min_mask, _minima_after
+from .polynomials import slot_width, stirling_first_kind_row, unpack_slots
+from .posets import Poset, _bits, _cover_rows, _min_mask, _minima_after
 
 
 class SetPartition:
@@ -72,12 +71,6 @@ class SetPartition:
         canon.sort(key=lambda b: b[0])
         self.n = n
         self.blocks = tuple(canon)
-
-    def block_of(self, x: int) -> int:
-        for idx, blk in enumerate(self.blocks):
-            if x in blk:
-                return idx
-        raise IndexOutOfRange(f"element {x} outside 1..{self.n}")
 
     def mobius_abs(self) -> int:
         """|mu(0-hat, pi)| on the partition lattice: prod (|B|-1)!."""
@@ -123,48 +116,6 @@ def parse_partition(text: str, n=None) -> SetPartition:
     return SetPartition(size, blocks)
 
 
-def all_partitions(n: int):
-    """Every set partition, in lex order of restricted growth strings."""
-    if n == 0:
-        yield SetPartition(0, [])
-        return
-    rgs = [0] * n
-
-    def rec(k, nblocks):
-        if k == n:
-            blocks = [[] for _ in range(nblocks)]
-            for idx, b in enumerate(rgs):
-                blocks[b].append(idx + 1)
-            yield SetPartition(n, blocks)
-            return
-        for b in range(nblocks + 1):
-            rgs[k] = b
-            yield from rec(k + 1, max(nblocks, b + 1))
-
-    yield from rec(0, 0)
-
-
-class Preposet:
-    """Reflexive transitive relation on k items (quotient of a poset)."""
-
-    __slots__ = ("k", "rel")
-
-    def __init__(self, k, rel_rows):
-        self.k = k
-        self.rel = tuple(rel_rows)
-
-    def leq(self, a: int, b: int) -> bool:
-        """1-based; reflexive."""
-        return bool(self.rel[a - 1] >> (b - 1) & 1)
-
-    def is_antisymmetric(self) -> bool:
-        for a in range(self.k):
-            for b in range(a + 1, self.k):
-                if self.rel[a] >> b & 1 and self.rel[b] >> a & 1:
-                    return False
-        return True
-
-
 def _quotient_peel(P: Poset, blocks, n):
     """Quotient level of each block (1-based) and the label mask of each
     level (index 0 empty); None unless the blocks are transverse to P.
@@ -203,23 +154,6 @@ def _quotient_peel(P: Poset, blocks, n):
         level_masks.append(layer)
         rem = [a for a in rem if masks[a] & above]
     return level, level_masks
-
-
-def quotient_preposet(P: Poset, pi: SetPartition) -> Preposet:
-    """Blocks related when some representatives are; closed reflexively
-    and transitively (Warshall)."""
-    if pi.n != P.n:
-        raise IndexOutOfRange("partition size differs from poset size")
-    up = P._up
-    masks = [_label_mask(blk) for blk in pi.blocks]
-    rel = [1 << a | sum(1 << b for b, m in enumerate(masks)
-                        if any(up[x - 1] & m for x in blk))
-           for a, blk in enumerate(pi.blocks)]
-    for m in range(len(rel)):
-        for a in range(len(rel)):
-            if rel[a] >> m & 1:
-                rel[a] |= rel[m]
-    return Preposet(len(rel), rel)
 
 
 def is_transverse(P: Poset, pi: SetPartition) -> bool:
@@ -396,21 +330,3 @@ def transverse_poly_coeffs(P: Poset):
         return acc
 
     return unpack_slots(rec(full, 0, _min_mask(down, full)) if n else 1, w)
-
-
-def brute_force_transverse(P: Poset):
-    """Filter the whole partition lattice (oracle; n <= 9 or so)."""
-    return [pi for pi in all_partitions(P.n) if is_transverse(P, pi)]
-
-
-def singleton_partition(n: int) -> SetPartition:
-    return SetPartition(n, [[i] for i in range(1, n + 1)])
-
-
-def transverse_count_check(P: Poset) -> bool:
-    """Zaslavsky check: sum of |mu| over transverse partitions equals the
-    number of linear extensions."""
-    from .posets import count_linear_extensions
-
-    total = sum(pi.mobius_abs() for pi in enumerate_transverse(P))
-    return total == count_linear_extensions(P)

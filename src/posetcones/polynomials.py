@@ -2,7 +2,9 @@
 
 Coefficient lists are index = power of t, trailing zeros trimmed, so equality
 is structural.  The exact real-root counter (a Sturm chain of integer
-pseudo-remainders) lives here too since it is pure polynomial arithmetic.
+pseudo-remainders) and the unsigned Stirling row of the first kind, the
+coefficients of t(t+1)...(t+n-1), live here too since they are pure
+polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -30,11 +32,6 @@ class IntPolynomial:
     @classmethod
     def one(cls) -> "IntPolynomial":
         return cls((1,))
-
-    @classmethod
-    def term(cls, coeff: int, power: int) -> "IntPolynomial":
-        """coeff * t**power"""
-        return cls((0,) * power + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -105,12 +102,6 @@ class IntPolynomial:
 
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def shifted(self, k: int) -> "IntPolynomial":
-        """Multiply by t**k."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
 
     def reversed_to_degree(self, d: int) -> "IntPolynomial":
         """t**d * p(1/t), as a polynomial; requires deg p <= d."""
@@ -185,6 +176,18 @@ def unpack_slots(x: int, w: int) -> list:
         out.append(x & mask)
         x >>= w
     return out
+
+
+def stirling_first_kind_row(n):
+    """Unsigned Stirling numbers c(n, 0..n) by the standard recurrence."""
+    row = [1]
+    for m in range(1, n + 1):
+        nxt = [0] * (m + 1)
+        for k in range(m):
+            nxt[k] += (m - 1) * row[k]
+            nxt[k + 1] += row[k]
+        row = nxt
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -219,19 +219,6 @@ def ordinal_sum(P1: Poset, P2: Poset) -> Poset:
     return poset_from_relations(n1 + n2, pairs, max_n=max(DEFAULT_MAX_N, n1 + n2))
 
 
-def induced(P: Poset, labels) -> Poset:
-    """Subposet on the given labels, relabeled 1..k in increasing label order."""
-    labs = sorted(labels)
-    pos = {lab: idx + 1 for idx, lab in enumerate(labs)}
-    pairs = [
-        (pos[i], pos[j])
-        for i in labs
-        for j in labs
-        if i != j and P.less(i, j)
-    ]
-    return poset_from_relations(len(labs), pairs)
-
-
 def random_poset(n: int, p: float, rng: random.Random) -> Poset:
     """Each upward pair (i,j), i<j, kept with probability p, then closed.
     Upward-only sampling cannot create cycles (biases toward natural labelings)."""
@@ -454,17 +441,6 @@ def _up_segment(start, mask):
     return ((1 << k) - 1) << start
 
 
-def brute_force_width(P: Poset) -> int:
-    """Largest pairwise-incomparable subset, by subset enumeration (oracle)."""
-    best = 0
-    n = P.n
-    for mask in range(1 << n):
-        S = [i + 1 for i in range(n) if mask >> i & 1]
-        if len(S) > best and is_antichain(P, S):
-            best = len(S)
-    return best
-
-
 # -- text format --------------------------------------------------------------
 
 def parse_poset(text: str, max_n=DEFAULT_MAX_N) -> Poset:
@@ -481,7 +457,10 @@ def parse_poset(text: str, max_n=DEFAULT_MAX_N) -> Poset:
                 raise ParseError(f"line {lineno}: duplicate n line")
             if len(tok) != 2 or not tok[1].isdecimal():
                 raise ParseError(f"line {lineno}: expected `n <count>`")
-            n = int(tok[1])
+            try:
+                n = int(tok[1])
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError(f"line {lineno}: count has too many digits") from None
         elif tok[0] == "rel":
             if n is None:
                 raise ParseError(f"line {lineno}: rel before n")

@@ -28,9 +28,19 @@ correctness instrument, so none of them may delegate to another.
 from __future__ import annotations
 
 from .errors import NotNaturallyLabeled
-from .polynomials import IntPolynomial, slot_width, unpack_slots
-from .posets import Poset, _bits, _cover_rows, _min_mask, _minima_after, chain_cover_width2
+from .foata import _fcyc_counts
 from .partitions import transverse_poly_coeffs
+from .polynomials import IntPolynomial, slot_width, unpack_slots
+from .posets import (
+    Poset,
+    _bits,
+    _cover_rows,
+    _min_mask,
+    _minima_after,
+    chain_cover_width2,
+    disjoint_chain_lengths,
+    is_linear_extension,
+)
 
 
 def poincare_via_transverse(P: Poset) -> IntPolynomial:
@@ -121,8 +131,6 @@ def poincare_via_lrmax(P: Poset) -> IntPolynomial:
 def poincare_via_foata(a) -> IntPolynomial:
     """Disjoint chains with multiplicities a: sum of t^(n - #prime factors)
     over all multiset words."""
-    from .foata import _fcyc_counts
-
     return IntPolynomial(_fcyc_counts(a)[::-1])
 
 
@@ -162,8 +170,6 @@ def poincare(P: Poset, method: str = "auto") -> IntPolynomial:
     if method == "width2":
         return poincare_via_width2(P)
     if method == "foata":
-        from .posets import disjoint_chain_lengths
-
         return poincare_via_foata(disjoint_chain_lengths(P))
     raise ValueError(f"unknown method {method!r}")
 
@@ -178,8 +184,6 @@ def p_eulerian(P: Poset) -> IntPolynomial:
     extension (natural labeling).  The state is the last label placed."""
     n = P.n
     ident = tuple(range(1, n + 1))
-    from .posets import is_linear_extension
-
     if not is_linear_extension(P, ident):
         raise NotNaturallyLabeled("identity word is not a linear extension")
     return _extension_dp(n, P._down, -1, lambda _placed, last, v: (v, int(last > v)))

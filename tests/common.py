@@ -1,14 +1,26 @@
-"""Shared generators for the test suite."""
+"""Shared generators and brute-force oracles for the test suite."""
 
 import random
 from functools import lru_cache
 from itertools import product
 from math import factorial
 
-from posetcones import IntPolynomial, grid, poset_from_relations, random_poset
+from posetcones import (
+    IndexOutOfRange,
+    IntPolynomial,
+    Poset,
+    SetPartition,
+    count_linear_extensions,
+    enumerate_transverse,
+    grid,
+    is_antichain,
+    is_transverse,
+    poset_from_relations,
+    random_poset,
+)
 from posetcones.partitions import _packed_layer_weight
 from posetcones.polynomials import slot_width, unpack_slots
-from posetcones.posets import _min_mask
+from posetcones.posets import _label_mask, _min_mask
 
 
 def is_transitive(rel):
@@ -169,3 +181,104 @@ def rescan_extension_dp(n, down, start, step):
         return acc
 
     return IntPolynomial(unpack_slots(rec(0, start), w))
+
+
+# -- brute-force oracles -------------------------------------------------------
+
+def all_partitions(n: int):
+    """Every set partition, in lex order of restricted growth strings."""
+    if n == 0:
+        yield SetPartition(0, [])
+        return
+    rgs = [0] * n
+
+    def rec(k, nblocks):
+        if k == n:
+            blocks = [[] for _ in range(nblocks)]
+            for idx, b in enumerate(rgs):
+                blocks[b].append(idx + 1)
+            yield SetPartition(n, blocks)
+            return
+        for b in range(nblocks + 1):
+            rgs[k] = b
+            yield from rec(k + 1, max(nblocks, b + 1))
+
+    yield from rec(0, 0)
+
+
+class Preposet:
+    """Reflexive transitive relation on k items (quotient of a poset)."""
+
+    __slots__ = ("k", "rel")
+
+    def __init__(self, k, rel_rows):
+        self.k = k
+        self.rel = tuple(rel_rows)
+
+    def leq(self, a: int, b: int) -> bool:
+        """1-based; reflexive."""
+        return bool(self.rel[a - 1] >> (b - 1) & 1)
+
+    def is_antisymmetric(self) -> bool:
+        for a in range(self.k):
+            for b in range(a + 1, self.k):
+                if self.rel[a] >> b & 1 and self.rel[b] >> a & 1:
+                    return False
+        return True
+
+
+def quotient_preposet(P: Poset, pi: SetPartition) -> Preposet:
+    """Blocks related when some representatives are; closed reflexively
+    and transitively (Warshall)."""
+    if pi.n != P.n:
+        raise IndexOutOfRange("partition size differs from poset size")
+    up = P._up
+    masks = [_label_mask(blk) for blk in pi.blocks]
+    rel = [1 << a | sum(1 << b for b, m in enumerate(masks)
+                        if any(up[x - 1] & m for x in blk))
+           for a, blk in enumerate(pi.blocks)]
+    for m in range(len(rel)):
+        for a in range(len(rel)):
+            if rel[a] >> m & 1:
+                rel[a] |= rel[m]
+    return Preposet(len(rel), rel)
+
+
+def brute_force_transverse(P: Poset):
+    """Filter the whole partition lattice (oracle; n <= 9 or so)."""
+    return [pi for pi in all_partitions(P.n) if is_transverse(P, pi)]
+
+
+def singleton_partition(n: int) -> SetPartition:
+    return SetPartition(n, [[i] for i in range(1, n + 1)])
+
+
+def transverse_count_check(P: Poset) -> bool:
+    """Zaslavsky check: sum of |mu| over transverse partitions equals the
+    number of linear extensions."""
+    total = sum(pi.mobius_abs() for pi in enumerate_transverse(P))
+    return total == count_linear_extensions(P)
+
+
+def induced(P: Poset, labels) -> Poset:
+    """Subposet on the given labels, relabeled 1..k in increasing label order."""
+    labs = sorted(labels)
+    pos = {lab: idx + 1 for idx, lab in enumerate(labs)}
+    pairs = [
+        (pos[i], pos[j])
+        for i in labs
+        for j in labs
+        if i != j and P.less(i, j)
+    ]
+    return poset_from_relations(len(labs), pairs)
+
+
+def brute_force_width(P: Poset) -> int:
+    """Largest pairwise-incomparable subset, by subset enumeration (oracle)."""
+    best = 0
+    n = P.n
+    for mask in range(1 << n):
+        S = [i + 1 for i in range(n) if mask >> i & 1]
+        if len(S) > best and is_antichain(P, S):
+            best = len(S)
+    return best

@@ -35,7 +35,6 @@ from posetcones import (
     phi,
     poset_from_relations,
     psi,
-    quotient_preposet,
     random_poset,
     transverse_permutations,
     union_of_chains,
@@ -43,6 +42,8 @@ from posetcones import (
 from posetcones import WidthExceeded
 from posetcones.foata import foata_phi_inv
 from posetcones.partitions import check_transverse
+
+from common import quotient_preposet
 
 EX_PHI_RELATIONS = [
     (13, 6), (1, 6), (1, 7), (9, 7), (9, 2), (11, 2),
@@ -451,8 +452,7 @@ def _phi_answers():
     assert phi(chain(5), Permutation.identity(5)) == (1, 2, 3, 4, 5)
 
 
-def test_transversality_builds_no_preposet(monkeypatch):
-    monkeypatch.setattr("posetcones.partitions.Preposet", _refuse)
+def test_transversality_callers_answer_on_the_quotient_peel():
     P = poset_from_relations(4, [(1, 2), (3, 4)])
     good = SetPartition(4, [(1, 3), (2, 4)])
     assert is_transverse(P, good)

@@ -108,6 +108,14 @@ def test_parse_failures_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_count_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    # int() refuses decimal strings longer than 4300 digits by default
+    f = poset_file(tmp_path, "n " + "9" * 5000 + "\n")
+    code, out, err = run(capsys, "poin", f)
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: count has too many digits\n"
+
+
 def test_superscript_count_is_a_parse_error(tmp_path):
     f = poset_file(tmp_path, "n \u00b2\n")
     code, err = run_process("poin", f)
@@ -297,6 +305,18 @@ def test_genfun_rhs_and_stirling(capsys):
     assert lines[1] == "stirling row check: ok"
     code, out, _ = run(capsys, "genfun", "stirling", "--n", "3", "--machine")
     assert (code, out) == (0, "1 3 2\n")
+
+
+def test_genfun_takes_thousands_of_variables(capsys):
+    code, out, _ = run(capsys, "genfun", "rhs", "--ell", "2000", "--degree", "1",
+                       "--machine")
+    lines = out.splitlines()
+    assert (code, len(lines)) == (0, 2001)
+    assert lines[0] == ",".join(["0"] * 2000) + " : 1"
+    assert lines[-1] == ",".join(["1"] + ["0"] * 1999) + " : 1"
+    code, out, _ = run(capsys, "genfun", "verify", "--ell", "1500", "--degree", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "ALL MATCH (1 coefficients)"
 
 
 def test_genfun_stirling_runs_lrmax_once(capsys, monkeypatch):

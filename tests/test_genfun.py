@@ -233,6 +233,21 @@ def test_compositions_match_the_product_filter_in_order():
             assert _compositions_upto(ell, cap) == want, (ell, cap)
 
 
+def _recursive_compositions(ell, cap):
+    """The order oracle: the first part runs 0..cap, the rest recurse on
+    what is left."""
+    if not ell:
+        return [()]
+    return [(first,) + rest for first in range(cap + 1)
+            for rest in _recursive_compositions(ell - 1, cap - first)]
+
+
+def test_compositions_match_the_recursion_in_order():
+    grid = [(ell, cap) for ell in range(6) for cap in range(7)]
+    for ell, cap in grid + [(3, 7), (4, 8), (8, 8)]:
+        assert _compositions_upto(ell, cap) == _recursive_compositions(ell, cap), (ell, cap)
+
+
 def test_compositions_cost_what_they_return():
     # the product filter would walk 3^20 tuples here to keep C(22, 2)
     assert len(_compositions_upto(20, 2)) == 231

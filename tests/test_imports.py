@@ -1,5 +1,5 @@
-"""Unused-import and unread-private-definition checks for the library
-modules, written on the stdlib `ast`."""
+"""Unused-import, function-local-import and unread-private-definition
+checks for the library modules, written on the stdlib `ast`."""
 
 import ast
 from pathlib import Path
@@ -30,6 +30,20 @@ def unused_imports(source):
                     bound.append((node.lineno, alias.asname or alias.name))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [(line, name) for line, name in bound if name not in read]
+
+
+def local_sibling_imports(source):
+    """(line, module) for each relative import inside a function or class
+    body.  The library imports its sibling modules once, at the top of each
+    module, so the import order stays one visible acyclic graph."""
+    tree = ast.parse(source)
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted({
+        (node.lineno, "." * node.level + (node.module or ""))
+        for scope in ast.walk(tree) if isinstance(scope, scopes)
+        for node in ast.walk(scope)
+        if isinstance(node, ast.ImportFrom) and node.level
+    })
 
 
 def unread_private_definitions(sources):
@@ -89,6 +103,31 @@ def test_used_and_future_imports_are_not_flagged():
         "    return os.path.join(chain)\n"
     )
     assert unused_imports(source) == []
+
+
+def test_no_sibling_import_inside_a_function():
+    found = {name: local_sibling_imports(text) for name, text in SOURCES.items()}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_planted_local_sibling_import_is_flagged():
+    # negative control: local relative imports are flagged, once each even
+    # when nested; top-level and local absolute imports are not
+    source = (PACKAGE / "whitney.py").read_text()
+    assert local_sibling_imports(source) == []
+    top = source.count("\n")
+    planted = source + (
+        "\nfrom .posets import chain\n"
+        "def _late():\n"
+        "    import os\n"
+        "    def inner():\n"
+        "        from .posets import antichain\n"
+        "    from . import foata\n"
+        "class _Late:\n"
+        "    from .genfun import tmmt_rhs\n"
+    )
+    assert local_sibling_imports(planted) == [
+        (top + 6, ".posets"), (top + 7, "."), (top + 9, ".genfun")]
 
 
 def test_every_private_definition_is_read():

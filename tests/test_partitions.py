@@ -9,7 +9,6 @@ from posetcones import (
     NotTransverse,
     ParseError,
     SetPartition,
-    all_partitions,
     antichain,
     chain,
     count_linear_extensions,
@@ -22,9 +21,7 @@ from posetcones import (
     parse_partition,
     partition_to_text,
     poset_from_relations,
-    quotient_preposet,
     random_poset,
-    transverse_count_check,
     union_of_chains,
 )
 from posetcones import bijections, partitions
@@ -34,9 +31,7 @@ from posetcones.partitions import (
     _layer_weight,
     _min_mask,
     _quotient_peel,
-    brute_force_transverse,
     check_transverse,
-    singleton_partition,
     transverse_poly_coeffs,
 )
 from posetcones.posets import _bits
@@ -44,9 +39,14 @@ from posetcones.whitney import poincare_via_transverse
 
 from common import (
     all_labeled_posets,
+    all_partitions,
+    brute_force_transverse,
     multinomial,
     packed_kernel_corpus,
+    quotient_preposet,
+    singleton_partition,
     transitive_closure_pairs,
+    transverse_count_check,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
@@ -55,8 +55,6 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 def test_set_partition_canonical_form():
     pi = SetPartition(4, [(4, 2), (3, 1)])
     assert pi.blocks == ((1, 3), (2, 4))
-    assert pi.block_of(4) == 1
-    assert pi.block_of(1) == 0
     assert len(pi) == 2
     assert pi == SetPartition(4, [[1, 3], [2, 4]])
     with pytest.raises(ParseError):

@@ -29,9 +29,7 @@ from posetcones import (
     union_of_chains,
     width,
 )
-from posetcones.posets import brute_force_width, induced
-
-from common import all_labeled_posets
+from common import all_labeled_posets, brute_force_width, induced
 
 
 EX_PHI_RELATIONS = [
