@@ -4,8 +4,10 @@ phi sends a permutation with transverse cycle partition to the linear
 extension obtained by writing each cycle from its leading essential element
 and concatenating cycles by (quotient level, leading element).  psi inverts
 it by cutting a linear extension at its poset-left-to-right maxima.  omega is
-the width-2 bijection onto transverse partitions matching chain-crossing
-descents with two-element blocks.
+the width-2 bijection onto transverse partitions: it pairs each
+chain-crossing descent of the word into a two-element block.  omega_inv
+walks the two chains with one pointer each, so neither needs the minima of
+what is left.
 
 Comparability is read off the bit-packed rows P._up / P._down, never pair
 by pair: level_decompose is one pass over level masks, and phi hands the
@@ -29,7 +31,7 @@ from .partitions import (
     check_transverse,
     enumerate_transverse,
 )
-from .posets import Poset, _label_mask, _min_mask, is_linear_extension
+from .posets import Poset, is_linear_extension
 
 
 class Permutation:
@@ -290,79 +292,57 @@ def des_p1p2(P: Poset, d, sigma) -> int:
 
 
 def omega(P: Poset, d, sigma) -> SetPartition:
-    """Width-2 bijection from linear extensions onto transverse partitions;
-    two-element blocks land exactly on the chain-crossing descents."""
+    """Width-2 bijection from linear extensions onto transverse partitions:
+    each chain-crossing descent (chain 2 falling to an incomparable chain-1
+    element) becomes a two-element block.  Two such descents never share a
+    letter, since the first ends on chain 1 and the second starts on 2."""
     word = tuple(sigma)
     if not is_linear_extension(P, word):
         raise NotLinearExtension(f"{list(word)} is not a linear extension")
-    n = P.n
-    side1 = _label_mask(d.p1)
+    up, down = P._up, P._down
     blocks = []
-    alive = (1 << n) - 1
-    idx = 0
-    while idx < n:
-        mins = _min_mask(P._down, alive)
-        if not mins & (mins - 1):
-            m = word[idx]
-            blocks.append((m,))
-            alive &= ~(1 << (m - 1))
-            idx += 1
-            continue
-        p1 = (mins & side1).bit_length()
-        if word[idx] == p1:
-            blocks.append((p1,))
-            alive &= ~(1 << (p1 - 1))
-            idx += 1
-            continue
-        j = word.index(p1, idx)
-        for k in range(idx, j - 1):
-            blocks.append((word[k],))
-            alive &= ~(1 << (word[k] - 1))
-        blocks.append(tuple(sorted((word[j - 1], p1))))
-        alive &= ~(1 << (word[j - 1] - 1))
-        alive &= ~(1 << (p1 - 1))
-        idx = j + 1
-    return SetPartition(n, blocks)
+    paired = set()
+    for x, y in zip(word, word[1:]):
+        if (d.side(x) == 2 and d.side(y) == 1
+                and not (up[x - 1] | down[x - 1]) >> (y - 1) & 1):
+            blocks.append((x, y))
+            paired.update((x, y))
+    blocks += [(x,) for x in word if x not in paired]
+    return SetPartition(P.n, blocks)
 
 
 def omega_inv(P: Poset, d, pi: SetPartition):
-    """Rebuild the word: paired blocks force the chain-2 run below the partner,
-    then the partner, then the chain-1 minimum."""
+    """Rebuild the word with one pointer into each chain.  The chain-1 head
+    is free iff the chain-2 head is not below it; a free head goes next,
+    after the chain-2 run up to its partner if it has one.  Otherwise the
+    chain-2 head goes next."""
     check_transverse(P, pi)
     block_of = {}
     for blk in pi.blocks:
         for x in blk:
             block_of[x] = blk
-    side1 = _label_mask(d.p1)
+    up, down = P._up, P._down
+    p1, p2 = d.p1, d.p2
+    i = j = 0
     word = []
-    alive = (1 << P.n) - 1
-
-    def emit(x):
-        nonlocal alive
-        word.append(x)
-        alive &= ~(1 << (x - 1))
-
-    while alive:
-        mins = _min_mask(P._down, alive)
-        if not mins & (mins - 1):
-            m = mins.bit_length()
-            if block_of[m] != (m,):
-                raise NotTransverse(f"block of {m} pairs across a level")
-            emit(m)
-            continue
-        p1 = (mins & side1).bit_length()
-        blk = block_of[p1]
-        if blk == (p1,):
-            emit(p1)
-            continue
-        x = blk[0] if blk[1] == p1 else blk[1]
-        for y in d.p2:
-            if y == x:
-                break
-            if alive >> (y - 1) & 1:
-                if block_of[y] != (y,):
-                    raise NotTransverse(f"block of {y} conflicts with {blk}")
-                emit(y)
-        emit(x)
-        emit(p1)
+    while len(word) < P.n:
+        h = p1[i] if i < len(p1) else 0
+        if h and (j == len(p2) or not down[h - 1] >> (p2[j] - 1) & 1):
+            blk = block_of[h]
+            if len(blk) == 2:
+                x = blk[0] if blk[1] == h else blk[1]
+                run = p2[j:p2.index(x, j) + 1]
+                for y in run:  # each free, and all but x singletons
+                    if up[h - 1] >> (y - 1) & 1 or y != x and block_of[y] != (y,):
+                        raise NotTransverse(f"block of {y} conflicts with {blk}")
+                word += run
+                j += len(run)
+            word.append(h)
+            i += 1
+        else:
+            y = p2[j]
+            if block_of[y] != (y,):
+                raise NotTransverse(f"block of {y} pairs across a level")
+            word.append(y)
+            j += 1
     return tuple(word)

@@ -31,7 +31,7 @@ from .genfun import (
     verify_chains_gf,
 )
 from .partitions import enumerate_transverse, parse_partition, partition_to_text
-from .polynomials import count_real_roots, poly_from_machine
+from .polynomials import count_real_roots, parse_int_list, poly_from_machine
 from .posets import (
     ChainDecomposition,
     antichain,
@@ -77,10 +77,7 @@ def _first_difference(p, q):
 
 
 def _int_list(text):
-    try:
-        return [int(t) for t in text.replace(",", " ").split()]
-    except ValueError:
-        raise ParseError(f"bad label list {text!r}") from None
+    return parse_int_list(text, "label list")
 
 
 # -- commands -------------------------------------------------------------------

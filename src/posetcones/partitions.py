@@ -29,7 +29,7 @@ is then inserted after an existing element in cycle notation, with a, a+1,
 
 Both recursions remove a layer of minima from an up-set alive, and a
 minimum of what remains that was not a minimum before must cover a removed
-element.  So the DP finds a state's minima from its parent's minima and the
+element.  So each finds a state's minima from its parent's minima and the
 cover rows of the layer it took, never by scanning the alive set.
 
 The DP keeps each coefficient vector as one nonnegative int, coefficient d
@@ -236,23 +236,29 @@ def enumerate_transverse(P: Poset):
     minimum is free: taking every minimum, each forbidden one in a block with
     a free one, leaves nothing forbidden.  `_layer_choices` keeps only the
     layers that lead to such a state, so no branch of the recursion is dead.
+
+    Each call carries the minima mm of alive; the targets (the minima of
+    alive - mm) and a child's minima come from mm and the covers of the
+    removed minima (`posets._minima_after`).
     """
     n = P.n
     down = P._down
     up = P._up
+    cover = _cover_rows(down)
+    full = (1 << n) - 1
 
-    def rec(alive, forbidden):
+    def rec(alive, forbidden, mm):
         if not alive:
             yield ()
             return
-        mm = _min_mask(down, alive)
-        targets = _min_mask(down, alive & ~mm)
+        targets = _minima_after(mm, mm, alive & ~mm, down, cover)
         for s_mask, blocks in _layer_choices(mm, forbidden, up, targets):
-            rest_forbidden = mm & ~s_mask
-            for tail in rec(alive & ~s_mask, rest_forbidden):
+            rest = alive & ~s_mask
+            after = _minima_after(mm, s_mask, rest, down, cover)
+            for tail in rec(rest, mm & ~s_mask, after):
                 yield blocks + tail
 
-    for blocks in rec((1 << n) - 1, 0):
+    for blocks in rec(full, 0, _min_mask(down, full)):
         yield SetPartition(n, blocks)
 
 

@@ -145,16 +145,22 @@ class IntPolynomial:
         return f"IntPolynomial({self.human_str()})"
 
 
-def poly_from_machine(text: str) -> IntPolynomial:
-    """Inverse of machine_str; commas tolerated as separators, but an empty
-    field between commas or at either end, or no coefficient at all, is an
-    error (machine_str writes zero as '0')."""
+def parse_int_list(text: str, what: str) -> list:
+    """Integers separated by spaces or commas; an empty field between commas
+    or at either end is an error, as is a token that is no integer.  `what`
+    names the list in the message."""
     if "," in text and not all(f.strip() for f in text.split(",")):
-        raise ParseError(f"empty field in coefficient list {text!r}")
+        raise ParseError(f"empty field in {what} {text!r}")
     try:
-        coeffs = [int(tok) for tok in text.replace(",", " ").split()]
+        return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise ParseError(f"bad coefficient list {text!r}") from None
+        raise ParseError(f"bad {what} {text!r}") from None
+
+
+def poly_from_machine(text: str) -> IntPolynomial:
+    """Inverse of machine_str (`parse_int_list`); no coefficient at all is
+    an error too (machine_str writes zero as '0')."""
+    coeffs = parse_int_list(text, "coefficient list")
     if not coeffs:
         raise ParseError(f"no coefficient in {text!r}")
     return IntPolynomial(coeffs)

@@ -104,8 +104,9 @@ def _cover_rows(down):
 
 
 def _min_mask(down, alive):
-    """Minima of alive, by a scan of every alive bit.  The memoized walks
-    scan only their root and step with `_minima_after`."""
+    """Minima of alive, by a scan of every alive bit.  Every down-set walk
+    calls it once, on the full mask at its root, and steps with
+    `_minima_after`; the width-2 bijections read positions and need none."""
     m = 0
     x = alive
     while x:
@@ -236,29 +237,28 @@ def random_poset(n: int, p: float, rng: random.Random) -> Poset:
 def linear_extensions(P: Poset):
     """All linear extensions, lexicographically smallest word first.
 
-    Backtracks over currently-minimal elements in increasing label order.
+    Backtracks over the minima of the unplaced elements in increasing label
+    order, carried down as in `count_linear_extensions` (`_minima_after`).
     """
-    n = P.n
     down = P._down
+    cover = _cover_rows(down)
     word = []
-    full = (1 << n) - 1
+    full = (1 << P.n) - 1
 
-    def rec(placed):
+    def rec(placed, mins):
         if placed == full:
-            yield tuple(x + 1 for x in word)
+            yield tuple(word)
             return
-        for v in range(n):
-            b = 1 << v
-            if placed & b or down[v] & ~placed:
-                continue
-            word.append(v)
-            yield from rec(placed | b)
+        x = mins
+        while x:
+            b = x & -x
+            x ^= b
+            nxt = placed | b
+            word.append(b.bit_length())
+            yield from rec(nxt, _minima_after(mins, b, ~nxt, down, cover))
             word.pop()
 
-    if n == 0:
-        yield ()
-        return
-    yield from rec(0)
+    yield from rec(0, _min_mask(down, full))
 
 
 def is_linear_extension(P: Poset, word) -> bool:

@@ -8,17 +8,20 @@ from math import factorial
 from posetcones import (
     IndexOutOfRange,
     IntPolynomial,
+    NotLinearExtension,
+    NotTransverse,
     Poset,
     SetPartition,
     count_linear_extensions,
     enumerate_transverse,
     grid,
     is_antichain,
+    is_linear_extension,
     is_transverse,
     poset_from_relations,
     random_poset,
 )
-from posetcones.partitions import _packed_layer_weight
+from posetcones.partitions import _layer_choices, _packed_layer_weight, check_transverse
 from posetcones.polynomials import slot_width, unpack_slots
 from posetcones.posets import _label_mask, _min_mask
 
@@ -91,7 +94,8 @@ CHAIN_UNIONS = ([1] * 8, [2] * 6, [3] * 5, [4, 4, 4], [7, 1, 1, 1, 1], [5, 3, 2,
 
 # -- rescanning down-set walks (oracles) ---------------------------------------
 #
-# The three memoized walks as they ran before they carried their minima:
+# The memoized walks and the streams as they ran before they carried their
+# minima, and the width-2 bijections as they ran before they read positions:
 # each state finds its minima by scanning every alive bit or every label.
 
 def rescan_transverse_poly_coeffs(P):
@@ -181,6 +185,133 @@ def rescan_extension_dp(n, down, start, step):
         return acc
 
     return IntPolynomial(unpack_slots(rec(0, start), w))
+
+def rescan_linear_extensions(P: Poset):
+    """`posets.linear_extensions` testing every label per state."""
+    n = P.n
+    down = P._down
+    word = []
+    full = (1 << n) - 1
+
+    def rec(placed):
+        if placed == full:
+            yield tuple(x + 1 for x in word)
+            return
+        for v in range(n):
+            b = 1 << v
+            if placed & b or down[v] & ~placed:
+                continue
+            word.append(v)
+            yield from rec(placed | b)
+            word.pop()
+
+    if n == 0:
+        yield ()
+        return
+    yield from rec(0)
+
+
+def rescan_enumerate_transverse(P: Poset):
+    """`partitions.enumerate_transverse` with two `_min_mask` scans per
+    state."""
+    n = P.n
+    down = P._down
+    up = P._up
+
+    def rec(alive, forbidden):
+        if not alive:
+            yield ()
+            return
+        mm = _min_mask(down, alive)
+        targets = _min_mask(down, alive & ~mm)
+        for s_mask, blocks in _layer_choices(mm, forbidden, up, targets):
+            rest_forbidden = mm & ~s_mask
+            for tail in rec(alive & ~s_mask, rest_forbidden):
+                yield blocks + tail
+
+    for blocks in rec((1 << n) - 1, 0):
+        yield SetPartition(n, blocks)
+
+
+def rescan_omega(P: Poset, d, sigma) -> SetPartition:
+    """`bijections.omega` walking the minima, `_min_mask` per step: a pair
+    forms only when two minima are alive, from the chain-1 minimum and the
+    letter just before it."""
+    word = tuple(sigma)
+    if not is_linear_extension(P, word):
+        raise NotLinearExtension(f"{list(word)} is not a linear extension")
+    n = P.n
+    side1 = _label_mask(d.p1)
+    blocks = []
+    alive = (1 << n) - 1
+    idx = 0
+    while idx < n:
+        mins = _min_mask(P._down, alive)
+        if not mins & (mins - 1):
+            m = word[idx]
+            blocks.append((m,))
+            alive &= ~(1 << (m - 1))
+            idx += 1
+            continue
+        p1 = (mins & side1).bit_length()
+        if word[idx] == p1:
+            blocks.append((p1,))
+            alive &= ~(1 << (p1 - 1))
+            idx += 1
+            continue
+        j = word.index(p1, idx)
+        for k in range(idx, j - 1):
+            blocks.append((word[k],))
+            alive &= ~(1 << (word[k] - 1))
+        blocks.append(tuple(sorted((word[j - 1], p1))))
+        alive &= ~(1 << (word[j - 1] - 1))
+        alive &= ~(1 << (p1 - 1))
+        idx = j + 1
+    return SetPartition(n, blocks)
+
+
+def rescan_omega_inv(P: Poset, d, pi: SetPartition):
+    """`bijections.omega_inv` walking the minima, `_min_mask` per step:
+    paired blocks force the chain-2 run below the partner, then the partner,
+    then the chain-1 minimum."""
+    check_transverse(P, pi)
+    block_of = {}
+    for blk in pi.blocks:
+        for x in blk:
+            block_of[x] = blk
+    side1 = _label_mask(d.p1)
+    word = []
+    alive = (1 << P.n) - 1
+
+    def emit(x):
+        nonlocal alive
+        word.append(x)
+        alive &= ~(1 << (x - 1))
+
+    while alive:
+        mins = _min_mask(P._down, alive)
+        if not mins & (mins - 1):
+            m = mins.bit_length()
+            if block_of[m] != (m,):
+                raise NotTransverse(f"block of {m} pairs across a level")
+            emit(m)
+            continue
+        p1 = (mins & side1).bit_length()
+        blk = block_of[p1]
+        if blk == (p1,):
+            emit(p1)
+            continue
+        x = blk[0] if blk[1] == p1 else blk[1]
+        for y in d.p2:
+            if y == x:
+                break
+            if alive >> (y - 1) & 1:
+                if block_of[y] != (y,):
+                    raise NotTransverse(f"block of {y} conflicts with {blk}")
+                emit(y)
+        emit(x)
+        emit(p1)
+    return tuple(word)
 
 
 # -- brute-force oracles -------------------------------------------------------

@@ -367,6 +367,23 @@ def test_roots_empty_field_exit_2(coeffs):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bij", "psi", "--word", "1,,2,3,4"],
+    ["bij", "psi", "--word", ",3,1,2,4"],
+    ["bij", "omega", "--word", "3,1,4,2,"],
+    ["bij", "omega", "--word", "3,1,4,2", "--p1", "1,2,", "--p2", "3,4"],
+    ["bij", "omega-inv", "--partition", "1,3|2,4", "--p1", "1,2", "--p2", "3, ,4"],
+    ["foata", "phi", "--support", "2,,3,2,3", "--word", "3,8,9,6,1,4,2,7,10,5"],
+    ["foata", "phi", "--support", "2,3,2,3", "--word", "3,8,9,6,1,4,2,7,10,5,"],
+], ids=["psi-inner", "psi-leading", "omega-trailing", "p1", "p2", "support", "foata-word"])
+def test_label_list_empty_field_exit_2(capsys, tmp_path, argv):
+    if argv[0] == "bij":
+        argv = argv[:2] + ["--poset", poset_file(tmp_path, EX_212)] + argv[2:]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: empty field in label list")
+
+
 @pytest.mark.parametrize("coeffs", ["", " ", "\t"])
 def test_roots_no_coefficient_exit_2(coeffs):
     code, err = run_process("roots", coeffs)

@@ -1,18 +1,28 @@
-"""The three memoized down-set walks (the transverse DP, the linear-extension
-count and the extension automaton) carry each state's minima from its
-parent's; here they are compared with the rescanning walks of
-`common`, which find every state's minima from scratch."""
+"""The down-set walks (the transverse DP, the linear-extension count, the
+extension automaton and the two streams `linear_extensions` and
+`enumerate_transverse`) carry each state's minima from its parent's, and the
+width-2 bijections `omega`/`omega_inv` read positions in the word and the
+chains.  Here they are compared with the rescanning walks of `common`,
+which find every state's minima from scratch."""
 
 import random
 from functools import lru_cache
+from itertools import islice, permutations
 
 import pytest
 
 from posetcones import (
+    ChainDecomposition,
+    PosetconesError,
     antichain,
+    chain_cover_width2,
     count_linear_extensions,
+    enumerate_transverse,
     grid,
     is_linear_extension,
+    linear_extensions,
+    omega,
+    omega_inv,
     p_eulerian,
     poincare_via_lrmax,
     poincare_via_width2,
@@ -21,14 +31,19 @@ from posetcones import (
     union_of_chains,
     width,
 )
-from posetcones import partitions, posets, whitney
+from posetcones import bijections, partitions, posets, whitney
 
 import common
 from common import (
     CHAIN_UNIONS,
     all_labeled_posets,
+    all_partitions,
     rescan_count_linear_extensions,
+    rescan_enumerate_transverse,
     rescan_extension_dp,
+    rescan_linear_extensions,
+    rescan_omega,
+    rescan_omega_inv,
     rescan_transverse_poly_coeffs,
 )
 
@@ -77,6 +92,57 @@ def test_extension_automaton_matches_rescan_oracle(monkeypatch):
             assert _automaton_routes(P) == got, P.relations()
 
 
+STREAM_CAP = 500  # antichain 10 has 10! extensions and Bell(10) partitions
+
+
+@pytest.mark.parametrize("stream, oracle", [
+    (linear_extensions, rescan_linear_extensions),
+    (enumerate_transverse, rescan_enumerate_transverse),
+], ids=["linear_extensions", "enumerate_transverse"])
+def test_streams_match_rescan_oracles_in_order(stream, oracle):
+    for P in walk_corpus():
+        got = list(islice(stream(P), STREAM_CAP))
+        assert got == list(islice(oracle(P), STREAM_CAP)), P.relations()
+
+
+def _width2_decompositions():
+    """Each width-2 member of the corpus with its chain cover, in both
+    chain orders."""
+    for P in walk_corpus():
+        if width(P) <= 2:
+            d = chain_cover_width2(P)
+            yield P, d
+            yield P, ChainDecomposition(P, d.p2, d.p1)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except PosetconesError as exc:
+        return type(exc), str(exc)
+
+
+def test_width2_bijections_match_rescan_oracles():
+    for P, d in _width2_decompositions():
+        for w in linear_extensions(P):
+            pi = omega(P, d, w)
+            assert pi == rescan_omega(P, d, w), (P.relations(), d, w)
+            assert omega_inv(P, d, pi) == rescan_omega_inv(P, d, pi) == w
+
+
+def test_width2_bijections_raise_as_the_rescan_oracles():
+    # every word and every partition of the small members, good or bad
+    for P, d in _width2_decompositions():
+        if P.n > 4:
+            continue
+        for w in permutations(range(1, P.n + 1)):
+            assert _outcome(omega, P, d, w) == _outcome(rescan_omega, P, d, w)
+        for pi in all_partitions(P.n):
+            assert _outcome(omega_inv, P, d, pi) == _outcome(rescan_omega_inv, P, d, pi)
+        short = tuple(range(1, P.n))
+        assert _outcome(omega, P, d, short) == _outcome(rescan_omega, P, d, short)
+
+
 def test_cover_rows_match_the_definition():
     for P in walk_corpus():
         labels = range(1, P.n + 1)
@@ -97,16 +163,42 @@ def _counting(monkeypatch, module):
     return calls
 
 
-@pytest.mark.parametrize("module, walk", [
-    (partitions, transverse_poly_coeffs),
-    (posets, count_linear_extensions),
-    (whitney, poincare_via_lrmax),
-])
-def test_walks_scan_for_minima_only_at_the_root(monkeypatch, module, walk):
-    P = grid(4, 6)
+def _consumed(stream):
+    return lambda P: sum(1 for _ in stream(P))
+
+
+@pytest.mark.parametrize("module, walk, P", [
+    (partitions, transverse_poly_coeffs, grid(4, 6)),
+    (posets, count_linear_extensions, grid(4, 6)),
+    (whitney, poincare_via_lrmax, grid(4, 6)),
+    (partitions, _consumed(enumerate_transverse), grid(3, 4)),
+    (posets, _consumed(linear_extensions), grid(3, 4)),
+], ids=["posetcones.partitions-transverse_poly_coeffs",
+        "posetcones.posets-count_linear_extensions",
+        "posetcones.whitney-poincare_via_lrmax",
+        "posetcones.partitions-enumerate_transverse",
+        "posetcones.posets-linear_extensions"])
+def test_walks_scan_for_minima_only_at_the_root(monkeypatch, module, walk, P):
     calls = _counting(monkeypatch, module)
     walk(P)
     assert calls == [(1 << P.n) - 1]
+
+
+def test_width2_bijections_scan_no_minima(monkeypatch):
+    P = grid(2, 6)
+    d = chain_cover_width2(P)
+    words = list(linear_extensions(P))
+
+    def refuse(down, alive):
+        raise AssertionError("minima scan in a width-2 bijection")
+
+    # bijections no longer imports the scan; raising=False still plants the
+    # refusal there, so a re-import would trip it
+    for module in (posets, partitions, bijections):
+        monkeypatch.setattr(module, "_min_mask", refuse, raising=False)
+    for dd in (d, ChainDecomposition(P, d.p2, d.p1)):
+        for w in words:
+            assert omega_inv(P, dd, omega(P, dd, w)) == w
 
 
 def test_rescan_oracle_scans_once_per_state(monkeypatch):
