@@ -3,16 +3,19 @@
 phi sends a permutation with transverse cycle partition to the linear
 extension obtained by writing each cycle from its leading essential element
 and concatenating cycles by (quotient level, leading element).  psi inverts
-it by cutting a linear extension at its poset-left-to-right maxima.  omega is
-the width-2 bijection onto transverse partitions: it pairs each
-chain-crossing descent of the word into a two-element block.  omega_inv
-walks the two chains with one pointer each, so neither needs the minima of
-what is left.
+it by cutting a linear extension before its poset-left-to-right maxima, in
+one scan of the word that writes each letter's image as it passes;
+level_decompose is the explanatory record of the same cut (levels,
+essential elements, LR maxima), which lrmax_count reads.  omega is the
+width-2 bijection onto transverse partitions: it pairs each chain-crossing
+descent of the word into a two-element block.  omega_inv walks the two
+chains with one pointer each, so neither needs the minima of what is left.
 
 Comparability is read off the bit-packed rows P._up / P._down, never pair
-by pair: level_decompose is one pass over level masks, and phi hands the
-cycles straight to the quotient peel of `partitions`, which checks
-transversality and yields the cycles' quotient levels in the same pass.
+by pair: psi and level_decompose are one pass over level masks, and phi
+hands the cycles straight to the quotient peel of `partitions`, which
+checks transversality and yields the cycles' quotient levels in the same
+pass.
 """
 
 from __future__ import annotations
@@ -79,18 +82,19 @@ class Permutation:
 
     def cycles(self):
         """Orbits, each starting at its smallest element, sorted by that."""
-        seen = set()
+        images = self.images
+        seen = [False] * (self.n + 1)
         out = []
         for s in range(1, self.n + 1):
-            if s in seen:
+            if seen[s]:
                 continue
             orbit = [s]
-            seen.add(s)
-            x = self.images[s - 1]
+            seen[s] = True
+            x = images[s - 1]
             while x != s:
                 orbit.append(x)
-                seen.add(x)
-                x = self.images[x - 1]
+                seen[x] = True
+                x = images[x - 1]
             out.append(tuple(orbit))
         return out
 
@@ -187,14 +191,24 @@ def phi(P: Poset, tau: Permutation):
     down = P._down
     keyed = []
     for cyc, lv in zip(cycles, level):
-        below = level_masks[lv - 1]
-        lead = max((x for x in cyc if lv == 1 or down[x - 1] & below), default=0)
-        if not lead:
-            raise NotTransverse(f"cycle {cyc} has no essential element")
+        if lv == 1:
+            lead = max(cyc)
+        else:
+            below = level_masks[lv - 1]
+            lead = 0
+            for x in cyc:
+                if x > lead and down[x - 1] & below:
+                    lead = x
+            if not lead:
+                raise NotTransverse(f"cycle {cyc} has no essential element")
         at = cyc.index(lead)
-        keyed.append(((lv, lead), cyc[at:] + cyc[:at]))
-    # the keys are distinct, so the words never decide the order
-    return tuple(x for _, word in sorted(keyed) for x in word)
+        keyed.append((lv, lead, cyc[at:] + cyc[:at]))
+    # the keys (lv, lead) are distinct, so the words never decide the order
+    keyed.sort()
+    word = []
+    for _, _, cyc in keyed:
+        word += cyc
+    return tuple(word)
 
 
 class LeveledExtension:
@@ -252,21 +266,35 @@ def level_decompose(P: Poset, sigma) -> LeveledExtension:
 
 
 def psi(P: Poset, sigma) -> Permutation:
-    """Cut the word before each LR maximum; each segment becomes a cycle."""
-    le = level_decompose(P, sigma)
-    ops = set(le.plr_max)
-    cycles = []
-    cur = []
-    for x in le.word:
-        if x in ops:
-            if cur:
-                cycles.append(cur)
-            cur = [x]
+    """Cut the word before each LR maximum; each segment becomes a cycle.
+
+    One scan of the word, carrying the level masks as `level_decompose`
+    does: an essential letter above the running maximum of its level opens
+    a cycle, so the letter before it maps to the previous opener; every
+    other letter is the image of the letter before it, and the last letter
+    maps to the last opener.  Slot 0 of `images` takes the write made
+    before the first letter."""
+    word = tuple(sigma)
+    if not is_linear_extension(P, word):
+        raise NotLinearExtension(f"{list(word)} is not a linear extension")
+    down = P._down
+    images = [0] * (len(word) + 1)
+    cur = prev = runm = 0
+    opener = before = 0
+    for x in word:
+        row = down[x - 1]
+        if row & cur:
+            prev, cur, runm = cur, 0, 0
+        cur |= 1 << (x - 1)
+        if x > runm and (not prev or row & prev):  # prev is 0 on level one
+            runm = x
+            images[before] = opener
+            opener = x
         else:
-            cur.append(x)
-    if cur:
-        cycles.append(cur)
-    return Permutation.from_cycles(P.n, cycles)
+            images[before] = x
+        before = x
+    images[before] = opener
+    return Permutation(images[1:])
 
 
 def lrmax_count(P: Poset, sigma) -> int:

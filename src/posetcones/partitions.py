@@ -185,14 +185,13 @@ def _layer_choices(min_mask, forbidden, up=(), targets=0):
     branch also ends when it holds more forbidden-only blocks than free
     vertices remain to join them.
 
-    Returns a list of (S_mask, blocks), blocks a tuple of ascending label
-    tuples.
+    Yields (S_mask, blocks), blocks a tuple of ascending label tuples, one
+    choice at a time, so a stream over the choices starts at once.
     """
     elems = list(_bits(min_mask))
     free_left = [0] * (len(elems) + 1)  # free vertices at positions >= idx
     for idx in range(len(elems) - 1, -1, -1):
         free_left[idx] = free_left[idx + 1] + (not forbidden >> elems[idx] & 1)
-    out = []
     blocks = []
     masks = []
 
@@ -200,29 +199,28 @@ def _layer_choices(min_mask, forbidden, up=(), targets=0):
         if short > free_left[idx]:
             return
         if idx == len(elems):
-            out.append((s, tuple(map(tuple, blocks))))
+            yield s, tuple(map(tuple, blocks))
             return
         v = elems[idx]
         bit = 1 << v
         free = not forbidden & bit
         kept = targets & ~up[v] if targets else 0
         if kept:
-            rec(idx + 1, s, kept, short)  # leave v out of the layer
+            yield from rec(idx + 1, s, kept, short)  # leave v out of the layer
         for b in range(len(blocks)):
             fills = free and not masks[b] & ~forbidden
             blocks[b].append(v + 1)
             masks[b] |= bit
-            rec(idx + 1, s | bit, targets, short - fills)
+            yield from rec(idx + 1, s | bit, targets, short - fills)
             masks[b] ^= bit
             blocks[b].pop()
         blocks.append([v + 1])
         masks.append(bit)
-        rec(idx + 1, s | bit, targets, short + (not free))
+        yield from rec(idx + 1, s | bit, targets, short + (not free))
         masks.pop()
         blocks.pop()
 
-    rec(0, 0, targets, 0)
-    return out
+    return rec(0, 0, targets, 0)
 
 
 def enumerate_transverse(P: Poset):

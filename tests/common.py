@@ -10,6 +10,7 @@ from posetcones import (
     IntPolynomial,
     NotLinearExtension,
     NotTransverse,
+    Permutation,
     Poset,
     SetPartition,
     count_linear_extensions,
@@ -18,10 +19,16 @@ from posetcones import (
     is_antichain,
     is_linear_extension,
     is_transverse,
+    level_decompose,
     poset_from_relations,
     random_poset,
 )
-from posetcones.partitions import _layer_choices, _packed_layer_weight, check_transverse
+from posetcones.partitions import (
+    _layer_choices,
+    _packed_layer_weight,
+    _quotient_peel,
+    check_transverse,
+)
 from posetcones.polynomials import slot_width, unpack_slots
 from posetcones.posets import _label_mask, _min_mask
 
@@ -312,6 +319,61 @@ def rescan_omega_inv(P: Poset, d, pi: SetPartition):
         emit(x)
         emit(p1)
     return tuple(word)
+
+
+def set_cycles(tau: Permutation):
+    """`Permutation.cycles` marking visited labels in a set."""
+    seen = set()
+    out = []
+    for s in range(1, tau.n + 1):
+        if s in seen:
+            continue
+        orbit = [s]
+        seen.add(s)
+        x = tau.images[s - 1]
+        while x != s:
+            orbit.append(x)
+            seen.add(x)
+            x = tau.images[x - 1]
+        out.append(tuple(orbit))
+    return out
+
+
+def record_psi(P: Poset, sigma) -> Permutation:
+    """`bijections.psi` read off the `level_decompose` record: the word is
+    cut before each LR maximum and the pieces go to `from_cycles`."""
+    le = level_decompose(P, sigma)
+    ops = set(le.plr_max)
+    cycles = []
+    cur = []
+    for x in le.word:
+        if x in ops:
+            if cur:
+                cycles.append(cur)
+            cur = [x]
+        else:
+            cur.append(x)
+    if cur:
+        cycles.append(cur)
+    return Permutation.from_cycles(P.n, cycles)
+
+
+def keyed_phi(P: Poset, tau: Permutation):
+    """`bijections.phi` on `set_cycles`, each lead the `max` of a generator
+    over the essential letters, the words sorted under nested keys."""
+    cycles = set_cycles(tau)
+    level, level_masks = (_quotient_peel(P, cycles, tau.n)
+                          or check_transverse(P, tau.cycle_partition()))
+    down = P._down
+    keyed = []
+    for cyc, lv in zip(cycles, level):
+        below = level_masks[lv - 1]
+        lead = max((x for x in cyc if lv == 1 or down[x - 1] & below), default=0)
+        if not lead:
+            raise NotTransverse(f"cycle {cyc} has no essential element")
+        at = cyc.index(lead)
+        keyed.append(((lv, lead), cyc[at:] + cyc[:at]))
+    return tuple(x for _, word in sorted(keyed) for x in word)
 
 
 # -- brute-force oracles -------------------------------------------------------

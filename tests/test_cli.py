@@ -1,13 +1,14 @@
 import io
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import posetcones
-from posetcones import IntPolynomial, bijections, whitney
-from posetcones.cli import main
+from posetcones import IntPolynomial, bijections, random_poset, whitney
+from posetcones.cli import _incomparable_pairs, main
 
 EX_211 = "n 4\nrel 3 4\n"
 EX_212 = "n 4\nrel 1 2\nrel 3 4\n"
@@ -86,6 +87,33 @@ def test_poin_methods_agree(tmp_path, capsys):
     # standardized two-chain labels allow the word route as well
     code, out, _ = run(capsys, "poin", f, "--machine", "--method", "foata")
     assert (code, out) == (0, "1 4 1\n")
+
+
+def test_poin_c1_counts_incomparable_pairs():
+    rng = random.Random(16)
+    for _ in range(300):
+        P = random_poset(rng.randint(0, 9), rng.choice([0.1, 0.3, 0.5, 0.8]), rng)
+        assert whitney.poincare(P).coefficient(1) == _incomparable_pairs(P)
+
+
+@pytest.mark.parametrize("method, shift, want", [
+    ("auto", [0, 1, -1],
+     "transverse route at t^1: 6 vs 5 incomparable pairs"),
+    ("lrmax", [0, 0, 1],
+     "lrmax route at t=1: 13 vs 12 from count_linear_extensions"),
+    ("lrmax", [0, 1],
+     "lrmax route at t=1: 13 vs 12 from count_linear_extensions\n"
+     "cross-check failed: lrmax route at t^1: 6 vs 5 incomparable pairs"),
+], ids=["c1", "poin1", "both"])
+def test_poin_failed_check_names_its_sides(tmp_path, capsys, monkeypatch, method, shift, want):
+    f = poset_file(tmp_path, EX_211)
+    real = whitney.poincare
+    monkeypatch.setattr(whitney, "poincare",
+                        lambda P, method: real(P, method=method) + IntPolynomial(shift))
+    code, out, err = run(capsys, "poin", f, "--method", method)
+    assert code == 4
+    assert err == f"cross-check failed: {want}\n"
+    assert out.startswith("Poin(P,t) = ")
 
 
 def test_poin_method_domain_errors(tmp_path, capsys):

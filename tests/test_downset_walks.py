@@ -3,7 +3,10 @@ extension automaton and the two streams `linear_extensions` and
 `enumerate_transverse`) carry each state's minima from its parent's, and the
 width-2 bijections `omega`/`omega_inv` read positions in the word and the
 chains.  Here they are compared with the rescanning walks of `common`,
-which find every state's minima from scratch."""
+which find every state's minima from scratch.  `psi` writes each letter's
+image in one scan of the word and `phi` runs on plain lists; they are
+compared with `common`'s versions built on the `level_decompose` record
+and on generators."""
 
 import random
 from functools import lru_cache
@@ -13,6 +16,7 @@ import pytest
 
 from posetcones import (
     ChainDecomposition,
+    Permutation,
     PosetconesError,
     antichain,
     chain_cover_width2,
@@ -24,8 +28,10 @@ from posetcones import (
     omega,
     omega_inv,
     p_eulerian,
+    phi,
     poincare_via_lrmax,
     poincare_via_width2,
+    psi,
     random_poset,
     transverse_poly_coeffs,
     union_of_chains,
@@ -38,6 +44,8 @@ from common import (
     CHAIN_UNIONS,
     all_labeled_posets,
     all_partitions,
+    keyed_phi,
+    record_psi,
     rescan_count_linear_extensions,
     rescan_enumerate_transverse,
     rescan_extension_dp,
@@ -45,6 +53,7 @@ from common import (
     rescan_omega,
     rescan_omega_inv,
     rescan_transverse_poly_coeffs,
+    set_cycles,
 )
 
 
@@ -141,6 +150,48 @@ def test_width2_bijections_raise_as_the_rescan_oracles():
             assert _outcome(omega_inv, P, d, pi) == _outcome(rescan_omega_inv, P, d, pi)
         short = tuple(range(1, P.n))
         assert _outcome(omega, P, d, short) == _outcome(rescan_omega, P, d, short)
+
+
+PSI_CAP = 200  # extensions per corpus member; all of them when n <= 5
+
+
+def test_psi_and_phi_match_the_record_oracles():
+    for P in walk_corpus():
+        for w in islice(linear_extensions(P), PSI_CAP):
+            tau = psi(P, w)
+            assert tau == record_psi(P, w), (P.relations(), w)
+            assert tau.cycles() == set_cycles(tau)
+            assert phi(P, tau) == keyed_phi(P, tau) == w
+
+
+def test_psi_and_phi_raise_as_the_record_oracles():
+    # every word and every permutation of the small members, good or bad
+    for P in walk_corpus():
+        if P.n > 4:
+            continue
+        for images in permutations(range(1, P.n + 1)):
+            assert _outcome(psi, P, images) == _outcome(record_psi, P, images)
+            tau = Permutation(images)
+            assert _outcome(phi, P, tau) == _outcome(keyed_phi, P, tau)
+        short = tuple(range(1, P.n))
+        assert _outcome(psi, P, short) == _outcome(record_psi, P, short)
+        big = Permutation.identity(P.n + 1)
+        assert _outcome(phi, P, big) == _outcome(keyed_phi, P, big)
+
+
+def test_psi_reads_no_record_and_builds_no_cycles(monkeypatch):
+    P = antichain(9)
+    rng = random.Random(16)
+    words = list(islice(linear_extensions(P), PSI_CAP))
+    words += [tuple(rng.sample(range(1, 10), 9)) for _ in range(PSI_CAP)]
+    want = [record_psi(P, w) for w in words]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("psi went through the record or the cycles")
+
+    monkeypatch.setattr(bijections, "level_decompose", refuse)
+    monkeypatch.setattr(Permutation, "from_cycles", refuse)
+    assert [psi(P, w) for w in words] == want
 
 
 def test_cover_rows_match_the_definition():

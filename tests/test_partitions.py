@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from math import factorial
 
@@ -264,9 +265,10 @@ def test_enumeration_builds_no_dead_layer(monkeypatch):
     layer_choices = partitions._layer_choices
 
     def counting(*args):
-        out = layer_choices(*args)
-        built.append(len(out))
-        return out
+        built.append(0)
+        for choice in layer_choices(*args):
+            built[-1] += 1
+            yield choice
 
     monkeypatch.setattr(partitions, "_layer_choices", counting)
     for n in range(1, 8):
@@ -276,6 +278,19 @@ def test_enumeration_builds_no_dead_layer(monkeypatch):
         built.clear()
         list(enumerate_transverse(chain(n)))
         assert sum(built) == n, n
+
+
+def test_enumeration_streams_its_first_partition_at_once():
+    # antichain 10 has Bell(10) = 115 975 root layer choices; building them
+    # all before the first yield peaks near 50 MB
+    tracemalloc.start()
+    try:
+        first = next(enumerate_transverse(antichain(10)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == SetPartition(10, [tuple(range(1, 11))])
+    assert peak < 1 << 20, peak
 
 
 def test_enumeration_matches_brute_force():
