@@ -16,6 +16,13 @@ by pair: psi and level_decompose are one pass over level masks, and phi
 hands the cycles straight to the quotient peel of `partitions`, which
 checks transversality and yields the cycles' quotient levels in the same
 pass.
+
+Caller input is validated and library-built permutations are not:
+`Permutation(...)` and `parse_permutation` check that the images are a
+permutation of 1..n, while `psi` returns `Permutation._built`, because
+its `is_linear_extension` check has already proved the word a
+permutation of 1..n, and the scan maps each cut segment of the word onto
+itself as one cycle, so the images are the word's letters rearranged.
 """
 
 from __future__ import annotations
@@ -49,6 +56,15 @@ class Permutation:
             raise ParseError(f"not a permutation of 1..{n}: {images}")
         self.n = n
         self.images = images
+
+    @classmethod
+    def _built(cls, images):
+        """Unchecked: `images` must already be a permutation of 1..n (see
+        the module docstring).  Callers' images go through `__init__`."""
+        tau = cls.__new__(cls)
+        tau.images = tuple(images)
+        tau.n = len(tau.images)
+        return tau
 
     @classmethod
     def identity(cls, n):
@@ -294,7 +310,7 @@ def psi(P: Poset, sigma) -> Permutation:
             images[before] = x
         before = x
     images[before] = opener
-    return Permutation(images[1:])
+    return Permutation._built(images[1:])
 
 
 def lrmax_count(P: Poset, sigma) -> int:

@@ -35,6 +35,12 @@ cover rows of the layer it took, never by scanning the alive set.
 The DP keeps each coefficient vector as one nonnegative int, coefficient d
 in bits [d*w, (d+1)*w) with w from `polynomials.slot_width` (Kronecker
 substitution), so adding W(a, f) times a tail is one big-int multiply.
+
+Caller input is validated and library-built partitions are not:
+`SetPartition(...)` and `parse_partition` check every block, while
+`enumerate_transverse` yields through `SetPartition._built`, which only
+sorts the blocks, because its walk takes each label into exactly one
+block, in increasing order, and ends only once every label is taken.
 """
 
 from __future__ import annotations
@@ -71,6 +77,17 @@ class SetPartition:
         canon.sort(key=lambda b: b[0])
         self.n = n
         self.blocks = tuple(canon)
+
+    @classmethod
+    def _built(cls, n, blocks):
+        """Unchecked: `blocks` must already be disjoint ascending tuples
+        covering 1..n (see the module docstring), so only their order is
+        restored; for disjoint blocks, tuple order is smallest-element
+        order.  Callers' blocks go through `__init__`."""
+        pi = cls.__new__(cls)
+        pi.n = n
+        pi.blocks = tuple(sorted(blocks))
+        return pi
 
     def mobius_abs(self) -> int:
         """|mu(0-hat, pi)| on the partition lattice: prod (|B|-1)!."""
@@ -237,7 +254,9 @@ def enumerate_transverse(P: Poset):
 
     Each call carries the minima mm of alive; the targets (the minima of
     alive - mm) and a child's minima come from mm and the covers of the
-    removed minima (`posets._minima_after`).
+    removed minima (`posets._minima_after`).  A child's minima depend on
+    the layer set S alone, not on how S is split into blocks, so each call
+    computes them once per S.
     """
     n = P.n
     down = P._down
@@ -250,14 +269,17 @@ def enumerate_transverse(P: Poset):
             yield ()
             return
         targets = _minima_after(mm, mm, alive & ~mm, down, cover)
+        minima = {}  # S -> minima of alive - S
         for s_mask, blocks in _layer_choices(mm, forbidden, up, targets):
             rest = alive & ~s_mask
-            after = _minima_after(mm, s_mask, rest, down, cover)
+            after = minima.get(s_mask)
+            if after is None:
+                after = minima[s_mask] = _minima_after(mm, s_mask, rest, down, cover)
             for tail in rec(rest, mm & ~s_mask, after):
                 yield blocks + tail
 
     for blocks in rec(full, 0, _min_mask(down, full)):
-        yield SetPartition(n, blocks)
+        yield SetPartition._built(n, blocks)
 
 
 @lru_cache(maxsize=None)

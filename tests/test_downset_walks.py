@@ -18,6 +18,7 @@ from posetcones import (
     ChainDecomposition,
     Permutation,
     PosetconesError,
+    SetPartition,
     antichain,
     chain_cover_width2,
     count_linear_extensions,
@@ -28,6 +29,8 @@ from posetcones import (
     omega,
     omega_inv,
     p_eulerian,
+    parse_partition,
+    partition_to_text,
     phi,
     poincare_via_lrmax,
     poincare_via_width2,
@@ -194,6 +197,18 @@ def test_psi_reads_no_record_and_builds_no_cycles(monkeypatch):
     assert [psi(P, w) for w in words] == want
 
 
+def test_built_objects_equal_their_validated_forms():
+    # enumerate_transverse and psi skip the constructors' checks; what they
+    # build must be what a caller's validated input would have made
+    for P in walk_corpus():
+        for pi in islice(enumerate_transverse(P), STREAM_CAP):
+            assert pi == SetPartition(P.n, pi.blocks), (P.relations(), pi)
+            assert pi == parse_partition(partition_to_text(pi), P.n), (P.relations(), pi)
+        for w in islice(linear_extensions(P), PSI_CAP):
+            tau = psi(P, w)
+            assert tau == Permutation(tau.images), (P.relations(), w)
+
+
 def test_cover_rows_match_the_definition():
     for P in walk_corpus():
         labels = range(1, P.n + 1)
@@ -277,3 +292,31 @@ def test_transverse_dp_steps_no_dead_antichain_child(monkeypatch, P, want):
     monkeypatch.setattr(partitions, "_minima_after", counted)
     transverse_poly_coeffs(P)
     assert len(calls) == want
+
+
+def test_enumeration_derives_minima_once_per_layer_set(monkeypatch):
+    # one targets call per state visited, then one minima call per distinct
+    # layer set S of that state, however many block arrangements S has
+    P = random_poset(7, 0.2, random.Random(2))
+    calls = []
+    step = partitions._minima_after
+    choices = partitions._layer_choices
+    visits = []  # the layer sets each state yields, one list per state
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    def recorded(*args):
+        sets = []
+        visits.append(sets)
+        for s_mask, blocks in choices(*args):
+            sets.append(s_mask)
+            yield s_mask, blocks
+
+    monkeypatch.setattr(partitions, "_minima_after", counted)
+    monkeypatch.setattr(partitions, "_layer_choices", recorded)
+    assert len(list(enumerate_transverse(P))) == 276
+    pairs = sum(len(set(sets)) for sets in visits)
+    assert (len(visits), sum(map(len, visits)), pairs) == (190, 465, 260)
+    assert len(calls) == len(visits) + pairs

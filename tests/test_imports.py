@@ -1,5 +1,6 @@
-"""Unused-import, function-local-import and unread-private-definition
-checks for the library modules, written on the stdlib `ast`."""
+"""Unused-import, function-local-import, unread-private-definition and
+unchecked-constructor checks for the library modules, written on the
+stdlib `ast`."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,33 @@ def unread_private_definitions(sources):
     ]
 
 
+# the only functions that may build without validation; a new caller of
+# `_built` must be added here on purpose
+BUILT_CALLERS = [("bijections.py", "psi"), ("partitions.py", "enumerate_transverse")]
+
+
+def built_readers(sources):
+    """(module, qualified scope) for each read of a `_built` constructor,
+    as an attribute or a bare name; module-level code has scope ''.
+
+    `sources` maps module file names to their text.
+    """
+    found = set()
+
+    def visit(node, scope, name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif (isinstance(node, ast.Attribute) and node.attr == "_built"
+              or isinstance(node, ast.Name) and node.id == "_built"):
+            found.add((name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, name)
+
+    for name, text in sources.items():
+        visit(ast.parse(text), "", name)
+    return sorted(found)
+
+
 def test_modules_are_found():
     names = {p.name for p in MODULES}
     assert {"whitney.py", "partitions.py", "cli.py"} <= names
@@ -142,3 +170,25 @@ def test_planted_unread_private_definition_is_flagged():
     for reader in ("_unused(None)", "whitney._unused", "from .whitney import _unused"):
         planted["cli.py"] = SOURCES["cli.py"] + "\n" + reader + "\n"
         assert unread_private_definitions(planted) == [], reader
+
+
+def test_only_the_hot_paths_build_without_validation():
+    assert built_readers(SOURCES) == BUILT_CALLERS
+
+
+def test_planted_unchecked_build_is_flagged():
+    # negative control: a parser, a module-level alias and a method that
+    # reach `_built` are each flagged with their scope
+    planted = dict(SOURCES)
+    planted["partitions.py"] += (
+        "\n\ndef parse_quickly(text):\n"
+        "    return SetPartition._built(1, [(1,)])\n"
+    )
+    planted["cli.py"] += "\nquick = Permutation._built\n"
+    planted["foata.py"] += (
+        "\n\nclass Quick:\n"
+        "    def make(self):\n"
+        "        return _built((1,))\n"
+    )
+    assert built_readers(planted) == sorted(BUILT_CALLERS + [
+        ("cli.py", ""), ("foata.py", "Quick.make"), ("partitions.py", "parse_quickly")])
