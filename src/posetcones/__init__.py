@@ -67,6 +67,7 @@ from .foata import (
     enumerate_multiset_perms,
     factorization_count,
     fcyc,
+    fcyc_distribution,
     foata_phi,
     foata_phi_inv,
     intercalation,
@@ -77,6 +78,13 @@ from .foata import (
     parse_multiset_perm,
     prime_decompose,
 )
+from .genfun import (
+    TruncatedSeries,
+    chains_gf_rhs,
+    falling_bracket,
+    mmt_bracket,
+    tmmt_rhs,
+)
 from .whitney import (
     p_eulerian,
     poincare,
@@ -84,17 +92,9 @@ from .whitney import (
     poincare_via_lrmax,
     poincare_via_transverse,
     poincare_via_width2,
-    whitney_numbers,
-)
-from .genfun import (
-    TruncatedSeries,
-    chains_gf_rhs,
-    falling_bracket,
-    fcyc_distribution,
-    mmt_bracket,
     stirling_row_check,
-    tmmt_rhs,
     verify_chains_gf,
+    whitney_numbers,
 )
 
 __version__ = "0.1.0"

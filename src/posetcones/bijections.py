@@ -23,6 +23,8 @@ permutation of 1..n, while `psi` returns `Permutation._built`, because
 its `is_linear_extension` check has already proved the word a
 permutation of 1..n, and the scan maps each cut segment of the word onto
 itself as one cycle, so the images are the word's letters rearranged.
+`transverse_permutations` builds the same way: it writes each image
+along a cycle of a block of a partition of 1..n.
 """
 
 from __future__ import annotations
@@ -180,12 +182,15 @@ def transverse_permutations(P: Poset):
     """All permutations whose cycle partition is transverse to P; grouped by
     partition, cyclic arrangements in lex order of the rotated tail."""
     for pi in enumerate_transverse(P):
-        per_block = []
-        for blk in pi.blocks:
-            first, rest = blk[0], blk[1:]
-            per_block.append([(first,) + tail for tail in permutations(rest)])
+        per_block = [[blk[:1] + tail for tail in permutations(blk[1:])] for blk in pi.blocks]
         for combo in product(*per_block):
-            yield Permutation.from_cycles(P.n, combo)
+            images = [0] * (P.n + 1)  # slot 0 unused
+            for cyc in combo:
+                prev = cyc[-1]
+                for x in cyc:
+                    images[prev] = x
+                    prev = x
+            yield Permutation._built(images[1:])
 
 
 def levels_of_permutation(P: Poset, tau: Permutation):
@@ -319,20 +324,21 @@ def lrmax_count(P: Poset, sigma) -> int:
 
 # -- width-2 descent bijection -------------------------------------------------
 
-def des_p1p2(P: Poset, d, sigma) -> int:
-    """Descents of sigma that fall from chain 2 to an incomparable chain-1
-    element."""
-    word = tuple(sigma)
+def _crossing_descents(P: Poset, d, word):
+    """Adjacent pairs of the tuple `word` that fall from chain 2 to an
+    incomparable chain-1 element; `word` must be a linear extension."""
     if not is_linear_extension(P, word):
         raise NotLinearExtension(f"{list(word)} is not a linear extension")
     up, down = P._up, P._down
-    k = 0
-    for i in range(len(word) - 1):
-        x, y = word[i], word[i + 1]
-        if (d.side(x) == 2 and d.side(y) == 1
-                and not (up[x - 1] | down[x - 1]) >> (y - 1) & 1):
-            k += 1
-    return k
+    return [(x, y) for x, y in zip(word, word[1:])
+            if d.side(x) == 2 and d.side(y) == 1
+            and not (up[x - 1] | down[x - 1]) >> (y - 1) & 1]
+
+
+def des_p1p2(P: Poset, d, sigma) -> int:
+    """Descents of sigma that fall from chain 2 to an incomparable chain-1
+    element."""
+    return len(_crossing_descents(P, d, tuple(sigma)))
 
 
 def omega(P: Poset, d, sigma) -> SetPartition:
@@ -341,16 +347,8 @@ def omega(P: Poset, d, sigma) -> SetPartition:
     element) becomes a two-element block.  Two such descents never share a
     letter, since the first ends on chain 1 and the second starts on 2."""
     word = tuple(sigma)
-    if not is_linear_extension(P, word):
-        raise NotLinearExtension(f"{list(word)} is not a linear extension")
-    up, down = P._up, P._down
-    blocks = []
-    paired = set()
-    for x, y in zip(word, word[1:]):
-        if (d.side(x) == 2 and d.side(y) == 1
-                and not (up[x - 1] | down[x - 1]) >> (y - 1) & 1):
-            blocks.append((x, y))
-            paired.update((x, y))
+    blocks = _crossing_descents(P, d, word)
+    paired = {x for blk in blocks for x in blk}
     blocks += [(x,) for x in word if x not in paired]
     return SetPartition(P.n, blocks)
 

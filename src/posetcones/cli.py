@@ -24,12 +24,7 @@ from .foata import (
     parse_multiset_perm,
     prime_decompose,
 )
-from .genfun import (
-    chains_gf_rhs,
-    stirling_row_check,
-    stirling_row_matches,
-    verify_chains_gf,
-)
+from .genfun import chains_gf_rhs
 from .partitions import enumerate_transverse, parse_partition, partition_to_text
 from .polynomials import count_real_roots, parse_int_list, poly_from_machine
 from .posets import (
@@ -142,7 +137,8 @@ def cmd_transverse(args):
         print(f"total: {parts} partitions, weight sum = {total}, #LinExt = {nle} "
               f"[{'ok' if ok else 'MISMATCH'}]")
     if not ok:
-        print("cross-check failed: weight sum != #LinExt", file=sys.stderr)
+        print(f"cross-check failed: transverse enumeration weight sum {total} "
+              f"vs {nle} from count_linear_extensions", file=sys.stderr)
         return 4
     return 0
 
@@ -221,7 +217,7 @@ def cmd_genfun(args):
             print(f"{label} : {_poly_text(poly, args.machine)}")
         return 0
     if args.variant == "verify":
-        report = verify_chains_gf(args.ell, args.degree)
+        report = whitney.verify_chains_gf(args.ell, args.degree)
         bad = 0
         for a, poly, ok in report:
             label = ",".join(str(e) for e in a)
@@ -237,7 +233,7 @@ def cmd_genfun(args):
     if args.n < 0:
         raise ParseError("--n must be nonnegative")
     poly = whitney.poincare_via_lrmax(antichain(args.n))
-    ok = stirling_row_matches(poly, args.n)
+    ok = whitney.stirling_row_matches(poly, args.n)
     print(_poly_text(poly, args.machine))
     if not args.machine:
         print("stirling row check: " + ("ok" if ok else "FAILED"))
@@ -292,7 +288,7 @@ def cmd_selfcheck(args):
         nle = count_linear_extensions(P)
         ran["poin(1)=#linext"] += 1
         if dp(1) != nle:
-            fails.append(f"{tag}: Poin(1) != #LinExt")
+            fails.append(f"{tag}: Poin(1) = {dp(1)} vs #LinExt = {nle}")
         ran["duality"] += 1
         dual = whitney.poincare_via_transverse(opposite(P))
         if dual != dp:
@@ -329,10 +325,10 @@ def cmd_selfcheck(args):
                     fails.append(f"{tag}: pair blocks != descents for {w}")
                     break
 
-    stirling_ok = stirling_row_check(6)
+    stirling_ok = whitney.stirling_row_check(6)
     if not stirling_ok:
         fails.append("stirling row n=6 check failed")
-    gf = verify_chains_gf(2, 5)
+    gf = whitney.verify_chains_gf(2, 5)
     if not all(ok for _, _, ok in gf):
         fails.append("chains generating function mismatch at ell=2, cap=5")
 

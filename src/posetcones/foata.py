@@ -8,8 +8,9 @@ left, steps top -> bottom through the leftmost unused column of each letter,
 and cuts out the first revisited circuit; tail arcs stay for later factors.
 
 One list-based walker, `_circuits`, does this on raw bottom words; the object
-API ranks the letters before calling it, and the route over all words of a
-support feeds it one list rearranged in place.
+API ranks the letters before calling it, and the count over all words of a
+support (`fcyc_distribution`, which the foata route reverses) feeds it one
+list rearranged in place.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     SupportMismatch,
 )
 from .partitions import check_transverse
+from .polynomials import IntPolynomial
 from .posets import count_linear_extensions, is_linear_extension, poset_from_relations, union_of_chains
 from .bijections import Permutation
 
@@ -319,6 +321,11 @@ def _fcyc_counts(a):
     for word in _words(a):
         counts[len(_circuits(word, a))] += 1
     return counts
+
+
+def fcyc_distribution(a) -> IntPolynomial:
+    """sum over words with support a of t^(number of prime factors)."""
+    return IntPolynomial(_fcyc_counts(a))
 
 
 # -- the cycle bijection --------------------------------------------------------

@@ -12,18 +12,18 @@ memoized on the sorted positive parts of a: for each distinct part of
 multiplicity m the step decrements k of them, a choice taken C(m, k) ways,
 and the choices with sum k = j take beta_j.  `TruncatedSeries` holds the
 coefficients up to a total degree cap.
+
+Series arithmetic only: the checks that run routes against the series
+live in `whitney`, and `fcyc_distribution` in `foata`.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import product
 from math import comb
 
 from .errors import DegreeExceeded
-from .foata import _fcyc_counts
-from .polynomials import IntPolynomial, stirling_first_kind_row
-from .posets import antichain, union_of_chains
-from .whitney import poincare_via_lrmax, poincare_via_transverse
+from .polynomials import IntPolynomial
 
 
 class TruncatedSeries:
@@ -152,60 +152,3 @@ def _compositions_upto(ell, cap):
             a[j] = 0
             a[j - 1] += 1
         out.append(tuple(a))
-
-
-def verify_chains_gf(ell, cap):
-    """Compare every coefficient of the inverted series against the transverse
-    route on the matching disjoint-chain poset; zero parts just drop chains.
-
-    Returns (a, coefficient, matches) triples in lex order of a.
-    """
-    rhs = chains_gf_rhs(ell, cap)
-    report = []
-    for a in _compositions_upto(ell, cap):
-        got = rhs.coefficient(a)
-        want = poincare_via_transverse(union_of_chains([x for x in a if x]))
-        report.append((a, got, got == want))
-    return report
-
-
-def fcyc_distribution(a) -> IntPolynomial:
-    """sum over words with support a of t^(number of prime factors)."""
-    return IntPolynomial(_fcyc_counts(a))
-
-
-def _cycle_count_census(n):
-    """Row c(n, 0..n) counted directly over all n! permutations."""
-    row = [0] * (n + 1)
-    for perm in permutations(range(n)):
-        seen = [False] * n
-        cycles = 0
-        for s in range(n):
-            if seen[s]:
-                continue
-            cycles += 1
-            x = s
-            while not seen[x]:
-                seen[x] = True
-                x = perm[x]
-        row[cycles] += 1
-    return row
-
-
-def stirling_row_check(n) -> bool:
-    """`stirling_row_matches` on the lrmax DP's antichain polynomial."""
-    return stirling_row_matches(poincare_via_lrmax(antichain(n)), n)
-
-
-def stirling_row_matches(got: IntPolynomial, n) -> bool:
-    """True when `got` equals prod (1 + kt) and its reversed coefficients
-    match the cycle-count row (census up to n = 7, the two-term recurrence
-    beyond)."""
-    prod = IntPolynomial.one()
-    for k in range(1, n):
-        prod = prod * IntPolynomial([1, k])
-    row = _cycle_count_census(n) if n <= 7 else stirling_first_kind_row(n)
-    want = [0] * (n + 1)
-    for k in range(n + 1):
-        want[n - k] = row[k]
-    return got == prod and got == IntPolynomial(want)

@@ -22,24 +22,33 @@ so these sets only shrink: the cut merges exactly the states that no later
 step can tell apart.
 
 Keeping the routes separate is the point: cross-checking them is the main
-correctness instrument, so none of them may delegate to another.
+correctness instrument, so none of them may delegate to another.  The
+checks against outside references sit at the end: `verify_chains_gf`
+compares the chain generating function of `genfun` with the transverse
+route, and `stirling_row_check` the lrmax route's antichain polynomial
+with a census of permutations by cycle count.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
+
 from .errors import NotNaturallyLabeled
 from .foata import _fcyc_counts
+from .genfun import _compositions_upto, chains_gf_rhs
 from .partitions import transverse_poly_coeffs
-from .polynomials import IntPolynomial, slot_width, unpack_slots
+from .polynomials import IntPolynomial, slot_width, stirling_first_kind_row, unpack_slots
 from .posets import (
     Poset,
     _bits,
     _cover_rows,
     _min_mask,
     _minima_after,
+    antichain,
     chain_cover_width2,
     disjoint_chain_lengths,
     is_linear_extension,
+    union_of_chains,
 )
 
 
@@ -187,3 +196,57 @@ def p_eulerian(P: Poset) -> IntPolynomial:
     if not is_linear_extension(P, ident):
         raise NotNaturallyLabeled("identity word is not a linear extension")
     return _extension_dp(n, P._down, -1, lambda _placed, last, v: (v, int(last > v)))
+
+
+# -- checks against the series and the Stirling row ---------------------------
+
+def verify_chains_gf(ell, cap):
+    """Compare every coefficient of the inverted series against the transverse
+    route on the matching disjoint-chain poset; zero parts just drop chains.
+
+    Returns (a, coefficient, matches) triples in lex order of a.
+    """
+    rhs = chains_gf_rhs(ell, cap)
+    report = []
+    for a in _compositions_upto(ell, cap):
+        got = rhs.coefficient(a)
+        want = poincare_via_transverse(union_of_chains([x for x in a if x]))
+        report.append((a, got, got == want))
+    return report
+
+
+def _cycle_count_census(n):
+    """Row c(n, 0..n) counted directly over all n! permutations."""
+    row = [0] * (n + 1)
+    for perm in permutations(range(n)):
+        seen = [False] * n
+        cycles = 0
+        for s in range(n):
+            if seen[s]:
+                continue
+            cycles += 1
+            x = s
+            while not seen[x]:
+                seen[x] = True
+                x = perm[x]
+        row[cycles] += 1
+    return row
+
+
+def stirling_row_check(n) -> bool:
+    """`stirling_row_matches` on the lrmax DP's antichain polynomial."""
+    return stirling_row_matches(poincare_via_lrmax(antichain(n)), n)
+
+
+def stirling_row_matches(got: IntPolynomial, n) -> bool:
+    """True when `got` equals prod (1 + kt) and its reversed coefficients
+    match the cycle-count row (census up to n = 7, the two-term recurrence
+    beyond)."""
+    prod = IntPolynomial.one()
+    for k in range(1, n):
+        prod = prod * IntPolynomial([1, k])
+    row = _cycle_count_census(n) if n <= 7 else stirling_first_kind_row(n)
+    want = [0] * (n + 1)
+    for k in range(n + 1):
+        want[n - k] = row[k]
+    return got == prod and got == IntPolynomial(want)

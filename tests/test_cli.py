@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import posetcones
-from posetcones import IntPolynomial, bijections, random_poset, whitney
+from posetcones import IntPolynomial, bijections, cli, random_poset, whitney
 from posetcones.cli import _incomparable_pairs, main
 
 EX_211 = "n 4\nrel 3 4\n"
@@ -212,6 +212,33 @@ def test_transverse_listing(tmp_path, capsys):
     assert sorted(out.splitlines()) == [
         "1,3|2,4", "1,3|2|4", "1,4|2|3", "1|2,3|4", "1|2,4|3", "1|2|3|4",
     ]
+
+
+def _overcounted_extensions(monkeypatch):
+    real = cli.count_linear_extensions
+    monkeypatch.setattr(cli, "count_linear_extensions", lambda P: real(P) + 1)
+
+
+def test_transverse_failed_check_names_both_sides(tmp_path, capsys, monkeypatch):
+    _overcounted_extensions(monkeypatch)
+    f = poset_file(tmp_path, EX_212)
+    code, out, err = run(capsys, "transverse", f)
+    assert code == 4
+    assert out.splitlines()[-1] == "total: 6 partitions, weight sum = 6, #LinExt = 7 [MISMATCH]"
+    assert err == ("cross-check failed: transverse enumeration weight sum 6 "
+                   "vs 7 from count_linear_extensions\n")
+
+
+def test_selfcheck_failed_extension_count_names_both_sides(capsys, monkeypatch):
+    _overcounted_extensions(monkeypatch)
+    code, out, _ = run(capsys, "selfcheck", "--n-max", "5", "--trials", "6")
+    assert code == 4
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(fails) == 6
+    for line in fails:
+        _, sides = line.split(": Poin(1) = ")
+        poin1, nle = sides.split(" vs #LinExt = ")
+        assert int(nle) == int(poin1) + 1, line
 
 
 def test_bij_phi_worked_example(tmp_path, capsys):

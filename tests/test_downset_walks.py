@@ -36,6 +36,7 @@ from posetcones import (
     poincare_via_width2,
     psi,
     random_poset,
+    transverse_permutations,
     transverse_poly_coeffs,
     union_of_chains,
     width,
@@ -198,8 +199,9 @@ def test_psi_reads_no_record_and_builds_no_cycles(monkeypatch):
 
 
 def test_built_objects_equal_their_validated_forms():
-    # enumerate_transverse and psi skip the constructors' checks; what they
-    # build must be what a caller's validated input would have made
+    # enumerate_transverse, psi and transverse_permutations skip the
+    # constructors' checks; what they build must be what a caller's
+    # validated input would have made
     for P in walk_corpus():
         for pi in islice(enumerate_transverse(P), STREAM_CAP):
             assert pi == SetPartition(P.n, pi.blocks), (P.relations(), pi)
@@ -207,6 +209,8 @@ def test_built_objects_equal_their_validated_forms():
         for w in islice(linear_extensions(P), PSI_CAP):
             tau = psi(P, w)
             assert tau == Permutation(tau.images), (P.relations(), w)
+        for tau in islice(transverse_permutations(P), 200):
+            assert tau == Permutation.from_cycles(P.n, tau.cycles()), (P.relations(), tau)
 
 
 def test_cover_rows_match_the_definition():

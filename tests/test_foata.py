@@ -31,8 +31,7 @@ from posetcones import (
     transverse_permutations,
     union_of_chains,
 )
-from posetcones.foata import _decompose_indexed, intercalate_all
-from posetcones.genfun import fcyc_distribution
+from posetcones.foata import _decompose_indexed, fcyc_distribution, intercalate_all
 from posetcones.whitney import poincare_via_foata
 
 RUNNING_TOP = [1, 1, 2, 2, 2, 3, 3, 4, 4, 4]

@@ -1,6 +1,6 @@
-"""Unused-import, function-local-import, unread-private-definition and
-unchecked-constructor checks for the library modules, written on the
-stdlib `ast`."""
+"""Unused-import, function-local-import, import-order,
+unread-private-definition and unchecked-constructor checks for the library
+modules, written on the stdlib `ast`."""
 
 import ast
 from pathlib import Path
@@ -47,6 +47,36 @@ def local_sibling_imports(source):
     })
 
 
+# the one order of the library modules: each imports only modules before it
+ORDER = ["errors", "polynomials", "posets", "partitions", "bijections", "foata",
+         "genfun", "whitney", "cli"]
+
+
+def sibling_imports(source):
+    """The sibling modules a module imports relatively, by name:
+    `from .x import y` names x, and `from . import x, y` names x and y."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def imports_against_order(sources):
+    """(module, sibling) for each relative import of a module that does not
+    come before the importer in ORDER.  `sources` maps file names to text;
+    `__init__` and `__main__` sit outside the order."""
+    return sorted(
+        (name[:-3], sib)
+        for name, text in sources.items() if name[:-3] in ORDER
+        for sib in sibling_imports(text)
+        if sib not in ORDER or ORDER.index(sib) >= ORDER.index(name[:-3])
+    )
+
+
 def unread_private_definitions(sources):
     """(module, name) for each module-level `def _x` / `class _X` that no
     module reads as a bare name, an attribute or an imported name.
@@ -75,7 +105,8 @@ def unread_private_definitions(sources):
 
 # the only functions that may build without validation; a new caller of
 # `_built` must be added here on purpose
-BUILT_CALLERS = [("bijections.py", "psi"), ("partitions.py", "enumerate_transverse")]
+BUILT_CALLERS = [("bijections.py", "psi"), ("bijections.py", "transverse_permutations"),
+                 ("partitions.py", "enumerate_transverse")]
 
 
 def built_readers(sources):
@@ -156,6 +187,23 @@ def test_planted_local_sibling_import_is_flagged():
     )
     assert local_sibling_imports(planted) == [
         (top + 6, ".posets"), (top + 7, "."), (top + 9, ".genfun")]
+
+
+def test_modules_import_in_one_order():
+    assert sorted(ORDER) == sorted(p.name[:-3] for p in MODULES if p.name != "__main__.py")
+    assert imports_against_order(SOURCES) == []
+    assert sibling_imports(SOURCES["genfun.py"]) == {"errors", "polynomials"}
+
+
+def test_planted_import_against_the_order_is_flagged():
+    # negative control: the series module reaching forward to a route, and
+    # a module importing itself or an unknown sibling
+    planted = dict(SOURCES)
+    planted["genfun.py"] += "\nfrom .whitney import poincare\n"
+    planted["posets.py"] += "\nfrom . import posets, scratch\n"
+    assert imports_against_order(planted) == [
+        ("genfun", "whitney"), ("posets", "posets"), ("posets", "scratch")]
+    assert "whitney" in sibling_imports(planted["genfun.py"])
 
 
 def test_every_private_definition_is_read():
