@@ -57,7 +57,7 @@ def _poly_text(poly, machine):
 
 
 def _decomposition(P, args):
-    if getattr(args, "p1", None) is None and getattr(args, "p2", None) is None:
+    if args.p1 is None and args.p2 is None:
         return chain_cover_width2(P)
     p1 = _int_list(args.p1) if args.p1 else []
     p2 = _int_list(args.p2) if args.p2 else []
@@ -176,7 +176,7 @@ def _parse_support(text):
 def cmd_foata(args):
     if args.variant in ("decompose", "fcyc"):
         support = _parse_support(args.support) if args.support else None
-        sigma = parse_multiset_perm(args.array, support=support)
+        sigma = parse_multiset_perm(args.arrays[0], support=support)
     if args.variant == "decompose":
         factors = prime_decompose(sigma)
         for f in factors:
@@ -184,8 +184,7 @@ def cmd_foata(args):
         if not args.machine:
             print(f"fcyc: {len(factors)}")
     elif args.variant == "intercalate":
-        rho = parse_multiset_perm(args.left)
-        tau = parse_multiset_perm(args.right)
+        rho, tau = (parse_multiset_perm(x) for x in args.arrays)
         print(multiset_perm_to_text(intercalation(rho, tau)))
     elif args.variant == "fcyc":
         print(fcyc(sigma))
@@ -346,13 +345,9 @@ def cmd_selfcheck(args):
 # -- parser ----------------------------------------------------------------------
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--machine", action="store_true",
-                        help="bare machine-readable output")
-    common.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
-    common.add_argument("--seed", type=int, default=42,
-                        help="seed for randomized commands")
+    machine = argparse.ArgumentParser(add_help=False)
+    machine.add_argument("--machine", action="store_true",
+                         help="bare machine-readable output")
 
     parser = argparse.ArgumentParser(
         prog="posetcones",
@@ -360,24 +355,25 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("poin", parents=[common],
+    p = sub.add_parser("poin", parents=[machine],
                        help="cone polynomial of a poset file")
     p.add_argument("poset", help="poset file, or - for stdin")
     p.add_argument("--method", default="auto",
                    choices=["auto", "transverse", "lrmax", "foata", "width2"])
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_poin)
 
-    p = sub.add_parser("linext", parents=[common], help="list linear extensions")
+    p = sub.add_parser("linext", parents=[machine], help="list linear extensions")
     p.add_argument("poset")
     p.set_defaults(func=cmd_linext)
 
-    p = sub.add_parser("transverse", parents=[common],
+    p = sub.add_parser("transverse", parents=[machine],
                        help="list transverse partitions with weights")
     p.add_argument("poset")
     p.set_defaults(func=cmd_transverse)
 
-    p = sub.add_parser("bij", parents=[common],
-                       help="cycle and descent bijections")
+    p = sub.add_parser("bij", help="cycle and descent bijections")
     p.add_argument("variant", choices=["phi", "psi", "omega", "omega-inv"])
     p.add_argument("--poset", required=True)
     p.add_argument("--perm", help="permutation, cycles or one-line")
@@ -389,20 +385,19 @@ def build_parser():
                    help="labels missing from cycles are fixed points")
     p.set_defaults(func=_checked_bij)
 
-    p = sub.add_parser("foata", parents=[common],
+    p = sub.add_parser("foata", parents=[machine],
                        help="multiset permutation factorizations")
     p.add_argument("variant",
                    choices=["decompose", "intercalate", "fcyc", "phi", "phi-inv"])
-    p.add_argument("array", nargs="?", help="two-line array top;bottom, or word")
-    p.add_argument("left", nargs="?", help="left factor (intercalate)")
-    p.add_argument("right", nargs="?", help="right factor (intercalate)")
+    p.add_argument("arrays", nargs="*",
+                   help="two-line array top;bottom, or word; two for intercalate")
     p.add_argument("--support", help="chain multiplicities, comma separated")
     p.add_argument("--word", help="linear extension of the chains")
     p.add_argument("--perm", help="permutation for phi-inv")
     p.add_argument("--implicit-fixed", action="store_true")
     p.set_defaults(func=_checked_foata)
 
-    p = sub.add_parser("genfun", parents=[common],
+    p = sub.add_parser("genfun", parents=[machine],
                        help="generating function coefficients and checks")
     p.add_argument("variant", choices=["rhs", "verify", "stirling"])
     p.add_argument("--ell", type=int, default=2, help="number of variables")
@@ -410,18 +405,19 @@ def build_parser():
     p.add_argument("--n", type=int, default=6, help="row for stirling")
     p.set_defaults(func=cmd_genfun)
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table", parents=[machine],
                        help="cone polynomials of the 3 x n grid")
     p.add_argument("--n-max", type=int, default=8)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("selfcheck", parents=[common],
+    p = sub.add_parser("selfcheck", parents=[machine],
                        help="randomized cross-method invariants")
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--seed", type=int, default=42, help="seed for the random posets")
     p.set_defaults(func=cmd_selfcheck)
 
-    p = sub.add_parser("roots", parents=[common],
+    p = sub.add_parser("roots", parents=[machine],
                        help="count distinct real roots of an integer polynomial")
     p.add_argument("coeffs", help="ascending coefficients, space or comma separated; "
                                   "put -- before a list that starts with a minus sign, "
@@ -445,16 +441,13 @@ def _checked_bij(args):
 
 
 def _checked_foata(args):
-    arrays = [x for x in (args.array, args.left, args.right) if x is not None]
     want = {"intercalate": 2, "decompose": 1, "fcyc": 1}.get(args.variant, 0)
-    if len(arrays) > want:
+    if len(args.arrays) > want:
         raise ParseError(f"foata {args.variant} takes {want} array argument(s), "
-                         f"got {len(arrays)}")
-    if len(arrays) < want:
+                         f"got {len(args.arrays)}")
+    if len(args.arrays) < want:
         raise ParseError("foata intercalate requires two arrays" if want == 2
                          else f"foata {args.variant} requires an array argument")
-    if want == 2:
-        args.left, args.right = arrays
     need = {"phi": "word", "phi-inv": "perm"}.get(args.variant)
     if need and (args.support is None or getattr(args, need) is None):
         raise ParseError(f"foata {args.variant} requires --support and --{need}")

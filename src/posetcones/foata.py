@@ -242,7 +242,7 @@ def dependence_poset(factors):
         for j in range(i + 1, k)
         if supports[i] & supports[j]
     ]
-    return poset_from_relations(k, pairs, max_n=None)
+    return poset_from_relations(k, pairs)
 
 
 def factorization_count(sigma: MultisetPermutation) -> int:

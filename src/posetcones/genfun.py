@@ -25,6 +25,11 @@ from math import comb
 from .errors import DegreeExceeded
 from .polynomials import IntPolynomial
 
+# Cap on ell times the number of exponent tuples, C(ell + cap, cap): the
+# entries `_compositions_upto` would hold.  Five times Tier-1's largest
+# case (ell 2000, cap 1: 4 002 000 entries, about 44 MB).
+MAX_EXPONENT_ENTRIES = 2 * 10**7
+
 
 class TruncatedSeries:
     """Sparse truncated series; terms map exponent tuples to polynomials."""
@@ -79,6 +84,7 @@ def _symmetric_series(ell, cap, beta) -> TruncatedSeries:
     key a step reads is already in the memo."""
     if ell < 0 or cap < 0:
         raise DegreeExceeded(f"ell and cap must be nonnegative, got ell={ell}, cap={cap}")
+    _check_entries(ell, cap)
     betas = [beta(j).coeffs for j in range(min(ell, cap) + 1)]
     memo = {(): IntPolynomial.one()}
     terms = {}
@@ -88,6 +94,23 @@ def _symmetric_series(ell, cap, beta) -> TruncatedSeries:
             memo[key] = IntPolynomial(_coefficient(key, memo, betas))
         terms[a] = memo[key]
     return TruncatedSeries(ell, cap, terms)
+
+
+def _check_entries(ell, cap):
+    """Raise before allocating when ell * C(ell + cap, cap) passes the bound.
+    The binomial is built as C(big + m, m) with m = min(ell, cap) and
+    big = max(ell, cap), one factor (big + k) / k >= 2 at a time, so the
+    loop stops within about 25 steps on any input."""
+    big = max(ell, cap)
+    count = 1
+    for k in range(1, min(ell, cap) + 1):
+        count = count * (big + k) // k
+        if count * ell > MAX_EXPONENT_ENTRIES:
+            break
+    if count * ell > MAX_EXPONENT_ENTRIES:
+        raise DegreeExceeded(
+            f"ell={ell}, cap={cap} needs more than {MAX_EXPONENT_ENTRIES} "
+            f"exponent entries")
 
 
 def _coefficient(parts, memo, betas):

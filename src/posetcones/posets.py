@@ -2,9 +2,9 @@
 
 Relation rows are bit-packed into Python ints (bit j of up[i] set iff i < j in
 P, 0-based internally; every public surface speaks 1-based labels).  Closure
-is Warshall on masks.  The soft size guard max_n=64 mirrors the word-size cap
-a C implementation would have; it is overridable since Python masks are not
-actually bounded.
+is Warshall on masks.  `parse_poset`, the door for outside input, refuses
+more than SIZE_GUARD = 64 points, the word-size cap a C implementation would
+have; the constructors take any size, since Python masks are not bounded.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import (
     WidthExceeded,
 )
 
-DEFAULT_MAX_N = 64
+SIZE_GUARD = 64
 
 
 class Poset:
@@ -137,12 +137,10 @@ def _minima_after(mins, s, rest, down, cover):
     return new
 
 
-def poset_from_relations(n, pairs, max_n=DEFAULT_MAX_N) -> Poset:
+def poset_from_relations(n, pairs) -> Poset:
     """Transitive closure of the strict pairs; rejects cycles and bad labels."""
     if n < 0:
         raise IndexOutOfRange("n must be nonnegative")
-    if max_n is not None and n > max_n:
-        raise IndexOutOfRange(f"n={n} exceeds the size guard {max_n}")
     up = [0] * n
     for i, j in pairs:
         if not (1 <= i <= n and 1 <= j <= n):
@@ -204,7 +202,7 @@ def grid(rows: int, cols: int) -> Poset:
                 pairs.append((lab, lab + 1))
             if r + 1 < rows:
                 pairs.append((lab, lab + cols))
-    return poset_from_relations(n, pairs, max_n=max(DEFAULT_MAX_N, n))
+    return poset_from_relations(n, pairs)
 
 
 def opposite(P: Poset) -> Poset:
@@ -217,7 +215,7 @@ def ordinal_sum(P1: Poset, P2: Poset) -> Poset:
     pairs = P1.relations()
     pairs += [(i + n1, j + n1) for i, j in P2.relations()]
     pairs += [(i, j + n1) for i in range(1, n1 + 1) for j in range(1, n2 + 1)]
-    return poset_from_relations(n1 + n2, pairs, max_n=max(DEFAULT_MAX_N, n1 + n2))
+    return poset_from_relations(n1 + n2, pairs)
 
 
 def random_poset(n: int, p: float, rng: random.Random) -> Poset:
@@ -443,7 +441,7 @@ def _up_segment(start, mask):
 
 # -- text format --------------------------------------------------------------
 
-def parse_poset(text: str, max_n=DEFAULT_MAX_N) -> Poset:
+def parse_poset(text: str) -> Poset:
     """Lines: `n <count>` then `rel <i> <j>`; '#' starts a comment."""
     n = None
     pairs = []
@@ -475,8 +473,10 @@ def parse_poset(text: str, max_n=DEFAULT_MAX_N) -> Poset:
             raise ParseError(f"line {lineno}: unknown directive {tok[0]!r}")
     if n is None:
         raise ParseError("missing `n <count>` line")
+    if n > SIZE_GUARD:
+        raise ParseError(f"n={n} exceeds the size guard {SIZE_GUARD}")
     try:
-        return poset_from_relations(n, pairs, max_n=max_n)
+        return poset_from_relations(n, pairs)
     except (CycleDetected, IndexOutOfRange) as exc:
         raise ParseError(str(exc)) from exc
 

@@ -1,6 +1,8 @@
+import argparse
 import io
 import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import pytest
 
 import posetcones
 from posetcones import IntPolynomial, bijections, cli, random_poset, whitney
-from posetcones.cli import _incomparable_pairs, main
+from posetcones.cli import _incomparable_pairs, build_parser, main
 
 EX_211 = "n 4\nrel 3 4\n"
 EX_212 = "n 4\nrel 1 2\nrel 3 4\n"
@@ -157,6 +159,85 @@ def test_invalid_utf8_is_a_parse_error(tmp_path):
     assert code == 2 and "Traceback" not in err
     code, err = run_process("poin", "-", stdin=path.read_bytes())
     assert code == 2 and "Traceback" not in err
+
+
+# Each option sits only on the commands that read it: --machine on all but
+# bij, --seed on selfcheck, --workers (a no-op kept for callers) on poin.
+CLI_OPTIONS = {
+    "poin": {"--machine", "--method", "--workers"},
+    "linext": {"--machine"},
+    "transverse": {"--machine"},
+    "bij": {"--poset", "--perm", "--word", "--partition", "--p1", "--p2",
+            "--implicit-fixed"},
+    "foata": {"--machine", "--support", "--word", "--perm", "--implicit-fixed"},
+    "genfun": {"--machine", "--ell", "--degree", "--n"},
+    "table": {"--machine", "--n-max"},
+    "selfcheck": {"--machine", "--n-max", "--trials", "--seed"},
+    "roots": {"--machine"},
+}
+
+
+def test_cli_surface_declares_each_option_where_it_is_read():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {opt for action in p._actions for opt in action.option_strings
+               if opt not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert got == CLI_OPTIONS
+    shared = sum(len(opts & {"--machine", "--seed", "--workers"}) for opts in got.values())
+    assert shared == 10
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["bij", "psi", "--poset", "-", "--word", "1,2", "--machine"], "--machine"),
+    (["table", "--seed", "1"], "--seed 1"),
+    (["selfcheck", "--workers", "2"], "--workers 2"),
+])
+def test_options_on_commands_that_do_not_read_them_exit_2(argv, unknown):
+    code, err = run_process(*argv, stdin=b"n 2\n")
+    assert code == 2 and "Traceback" not in err
+    assert err.endswith(f"error: unrecognized arguments: {unknown}\n")
+
+
+def test_poin_still_accepts_workers(tmp_path, capsys):
+    f = poset_file(tmp_path, EX_212)
+    code, plain, _ = run(capsys, "poin", f)
+    assert code == 0
+    code, out, _ = run(capsys, "poin", f, "--workers", "2")
+    assert (code, out) == (0, plain)
+    code, out, _ = run(capsys, "poin", f, "--method", "lrmax", "--workers", "2", "--machine")
+    assert (code, out) == (0, "1 4 1\n")
+
+
+def test_poin_past_the_size_guard_exit_2(tmp_path):
+    code, err = run_process("poin", poset_file(tmp_path, "n 65\n"))
+    assert (code, err) == (2, "error: n=65 exceeds the size guard 64\n")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("variant, ell, degree", [
+    ("rhs", 300_000_000, 0),
+    ("verify", 200_000, 2),
+    ("rhs", 1, 10**9),
+    ("verify", 10**9, 10**9),
+])
+def test_genfun_past_the_entry_bound_exit_3(variant, ell, degree):
+    # under a 1 GB address space, so an allocation that is not refused in
+    # time ends in MemoryError rather than in the machine's memory
+    src = os.path.dirname(os.path.dirname(posetcones.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetcones", "genfun", variant,
+         "--ell", str(ell), "--degree", str(degree)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: ell={ell}, cap={degree} needs more than ")
 
 
 def test_genfun_negative_degree_exit_2():
@@ -475,15 +556,6 @@ def test_selfcheck_does_not_recount_lr_maxima(capsys, monkeypatch):
                        "--seed", "7")
     assert code == 0
     assert out.splitlines()[-1] == "PASS"
-
-
-def test_selfcheck_is_worker_invariant(capsys):
-    base = ["selfcheck", "--n-max", "5", "--trials", "8", "--seed", "11"]
-    code, out1, _ = run(capsys, *base)
-    assert code == 0
-    code, out2, _ = run(capsys, *base, "--workers", "2")
-    assert code == 0
-    assert out2 == out1
 
 
 def test_selfcheck_catches_planted_corruption(capsys, monkeypatch):

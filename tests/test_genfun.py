@@ -12,6 +12,7 @@ from posetcones import (
     chains_gf_rhs,
     falling_bracket,
     fcyc_distribution,
+    genfun,
     mmt_bracket,
     poincare_via_lrmax,
     stirling_first_kind_row,
@@ -361,6 +362,31 @@ def test_inverse_needs_unit_constant(const):
         2, 3, {(0, 0): IntPolynomial(const)})
     with pytest.raises(ValueError):
         series.inverse()
+
+
+def test_entry_bound_is_ell_times_the_number_of_tuples(monkeypatch):
+    monkeypatch.setattr(genfun, "MAX_EXPONENT_ENTRIES", 60)
+    for ell in range(8):
+        for cap in range(8):
+            entries = comb(ell + cap, cap) * ell
+            if entries > 60:
+                with pytest.raises(DegreeExceeded):
+                    chains_gf_rhs(ell, cap)
+            else:
+                assert len(chains_gf_rhs(ell, cap).terms) == comb(ell + cap, cap)
+
+
+@pytest.mark.parametrize("build", [chains_gf_rhs, tmmt_rhs])
+@pytest.mark.parametrize("ell, cap", [(10**9, 10**9), (1, 10**9), (3 * 10**8, 0)])
+def test_entry_bound_refuses_before_any_work(build, ell, cap, monkeypatch):
+    # the beta list alone would loop min(ell, cap) times
+    def forbidden(*args):
+        raise AssertionError("work started past the entry bound")
+
+    for name in ("falling_bracket", "mmt_bracket", "_compositions_upto"):
+        monkeypatch.setattr(genfun, name, forbidden)
+    with pytest.raises(DegreeExceeded, match="exponent entries"):
+        build(ell, cap)
 
 
 @pytest.mark.parametrize("build", [chains_gf_rhs, tmmt_rhs, verify_chains_gf])

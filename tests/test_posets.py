@@ -278,6 +278,15 @@ def test_parse_errors_carry_line_numbers():
         parse_poset("")
 
 
+def test_size_guard_is_on_parsed_text_only():
+    assert parse_poset("n 64\n").n == 64
+    with pytest.raises(ParseError, match=r"^n=65 exceeds the size guard 64$"):
+        parse_poset("n 65\n")
+    P = random_poset(70, 0.1, random.Random(1))
+    assert P.n == 70 and all(i < j for i, j in P.relations())
+    assert grid(9, 8).n == 72 and ordinal_sum(chain(40), antichain(30)).n == 70
+
+
 def test_random_poset_is_closed_and_upward():
     rng = random.Random(31)
     for _ in range(50):
