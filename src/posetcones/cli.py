@@ -456,7 +456,13 @@ def _checked_foata(args):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # argparse fills `foata`'s arrays only up to its first option and hands
+    # back the arrays after it, in order; anything else left over is an error
+    if extra and args.command == "foata" and not any(x.startswith("-") for x in extra):
+        args.arrays += extra
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -10,7 +10,19 @@ and cuts out the first revisited circuit; tail arcs stay for later factors.
 One list-based walker, `_circuits`, does this on raw bottom words; the object
 API ranks the letters before calling it, and the count over all words of a
 support (`fcyc_distribution`, which the foata route reverses) feeds it one
-list rearranged in place.
+list rearranged in place, against column bounds set up once per support.
+
+Caller input is validated once and library-built objects are not:
+`MultisetPermutation(...)`, `from_word`, `from_rows` and
+`parse_multiset_perm` check every column, while three functions build
+through `MultisetPermutation._built` or `Permutation._built`.
+`multiset_encode` does so after its `is_linear_extension` check, since the
+chain letters of a linear extension rearrange the sorted top row.
+`prime_decompose` takes each factor's columns from a valid sigma in
+canonical order, and a circuit visits each letter once.  `foata_phi` maps
+each circuit's column positions onto themselves.  `foata_phi_inv` builds
+no multiset permutation: after `check_transverse` it decodes the bottom
+word, a rearrangement of the top row, without `_check_support`.
 """
 
 from __future__ import annotations
@@ -52,6 +64,16 @@ class MultisetPermutation:
             raise SupportMismatch(f"letter {mx} exceeds declared alphabet 1..{ell}")
         self.columns = tuple(cols)
         self.ell = ell
+
+    @classmethod
+    def _built(cls, columns, ell):
+        """Unchecked: `columns` must already be a tuple of positive columns in
+        canonical order whose rows carry one multiset of letters 1..ell (see
+        the module docstring).  Callers' columns go through `__init__`."""
+        sigma = cls.__new__(cls)
+        sigma.columns = columns
+        sigma.ell = ell
+        return sigma
 
     @classmethod
     def from_word(cls, word, support=None):
@@ -171,16 +193,23 @@ def is_prime(sigma: MultisetPermutation) -> bool:
     return steps == len(succ)
 
 
-def _circuits(word, a):
-    """Circuits of canonical column indices, in discovery order, of the bottom
-    word `word` (letter u used a[u-1] times) against the sorted top row.  Arcs
-    before a circuit stay on the path; an empty path restarts at the smallest
-    letter with columns left."""
-    ell = len(a)
+def _column_bounds(a):
+    """(first, end) for support a: against the sorted top row, letter u tops
+    the columns first[u] .. end[u] - 1 (entry 0 unused)."""
     end = [0]
     for m in a:
         end.append(end[-1] + m)
-    ptr = [0] + end[:-1]
+    return [0] + end[:-1], end
+
+
+def _circuits(word, first, end):
+    """Circuits of canonical column indices, in discovery order, of the bottom
+    word `word` against the sorted top row, whose column bounds `first` and
+    `end` come from `_column_bounds` of the word's support.  Arcs before a
+    circuit stay on the path; an empty path restarts at the smallest letter
+    with columns left."""
+    ell = len(end) - 1
+    ptr = first[:]
     mark = [-1] * (ell + 1)  # position on the path, -1 when off it
     circuits = []
     steps = []
@@ -215,15 +244,15 @@ def _decompose_indexed(sigma):
     ranked first, so the walk's lists never grow with the letters' size."""
     counts = Counter(t for t, _ in sigma.columns)  # in increasing letter order
     rank = {t: r for r, t in enumerate(counts, start=1)}
-    return _circuits([rank[b] for _, b in sigma.columns], list(counts.values()))
+    return _circuits([rank[b] for _, b in sigma.columns],
+                     *_column_bounds(counts.values()))
 
 
 def prime_decompose(sigma: MultisetPermutation):
     """Unique factorization into primes, in intercalation order."""
+    cols = sigma.columns
     return [
-        MultisetPermutation(
-            (sigma.columns[idx] for idx in circuit), ell=sigma.ell
-        )
+        MultisetPermutation._built(tuple(cols[idx] for idx in sorted(circuit)), sigma.ell)
         for circuit in _decompose_indexed(sigma)
     ]
 
@@ -268,19 +297,24 @@ def multiset_encode(a, lam) -> MultisetPermutation:
     if not is_linear_extension(P, lam):
         raise NotLinearExtension(f"{list(lam)} is not a linear extension")
     letter = _chain_letters(a)
-    return MultisetPermutation.from_word(
-        (letter[x - 1] for x in lam), support=tuple(a)
+    return MultisetPermutation._built(
+        tuple(zip(letter, [letter[x - 1] for x in lam])), len(a)
     )
 
 
 def multiset_decode(a, sigma: MultisetPermutation):
     """k-th occurrence of letter j in the bottom row -> k-th label of chain j."""
     _check_support(sigma, tuple(a))
+    return _decode(a, sigma.bottom_row())
+
+
+def _decode(a, bottom):
+    """`multiset_decode` of a bottom word already known to have support a."""
     last = [0]  # last[j-1]: label most recently given to chain j
     for aj in a:
         last.append(last[-1] + aj)
     word = []
-    for b in sigma.bottom_row():
+    for b in bottom:
         last[b - 1] += 1
         word.append(last[b - 1])
     return tuple(word)
@@ -318,8 +352,9 @@ def _fcyc_counts(a):
     if any(k < 0 for k in a):
         raise IndexOutOfRange("chain lengths must be nonnegative")
     counts = [0] * (sum(a) + 1)
+    first, end = _column_bounds(a)
     for word in _words(a):
-        counts[len(_circuits(word, a))] += 1
+        counts[len(_circuits(word, first, end))] += 1
     return counts
 
 
@@ -340,7 +375,7 @@ def foata_phi(a, lam) -> Permutation:
         pos_of_top = {sigma.columns[idx][0]: idx + 1 for idx in circuit}
         for idx in circuit:
             images[idx] = pos_of_top[sigma.columns[idx][1]]
-    return Permutation(images)
+    return Permutation._built(images)
 
 
 def foata_phi_inv(a, tau: Permutation):
@@ -351,7 +386,5 @@ def foata_phi_inv(a, tau: Permutation):
         raise IndexOutOfRange(f"permutation size {tau.n} differs from {n}")
     P = union_of_chains(a)
     check_transverse(P, tau.cycle_partition())
-    top = sorted(_chain_letters(a))
-    bottom = [top[tau(i) - 1] for i in range(1, n + 1)]
-    sigma = MultisetPermutation.from_word(bottom, support=tuple(a))
-    return multiset_decode(a, sigma)
+    top = _chain_letters(a)  # sorted already
+    return _decode(a, [top[j - 1] for j in tau.images])

@@ -355,4 +355,7 @@ def transverse_poly_coeffs(P: Poset):
         memo[alive, forbidden] = acc
         return acc
 
-    return unpack_slots(rec(full, 0, _min_mask(down, full)) if n else 1, w)
+    try:
+        return unpack_slots(rec(full, 0, _min_mask(down, full)) if n else 1, w)
+    finally:
+        del rec  # rec refers to itself: without this the memo outlives the call

@@ -176,15 +176,25 @@ def antichain(n: int) -> Poset:
 
 def union_of_chains(a) -> Poset:
     """Disjoint chains; chain i holds labels a1+..+a_{i-1}+1 .. a1+..+a_i,
-    increasing bottom-to-top (the standardized labeling)."""
-    pairs = []
+    increasing bottom-to-top (the standardized labeling).
+
+    The rows are written directly, with no closure: the up row of a label
+    is the mask of its chain's labels above it, the down row those below.
+    """
+    up, down = [], []
     base = 0
     for ai in a:
         if ai < 0:
             raise IndexOutOfRange("chain lengths must be nonnegative")
-        pairs.extend((base + k, base + k + 1) for k in range(1, ai))
+        top = (1 << (base + ai)) - 1
+        below = 0
+        for v in range(base, base + ai):
+            bit = 1 << v
+            up.append(top & -(bit << 1))
+            down.append(below)
+            below |= bit
         base += ai
-    return poset_from_relations(base, pairs)
+    return Poset(base, up, down)
 
 
 def grid(rows: int, cols: int) -> Poset:
@@ -300,7 +310,10 @@ def count_linear_extensions(P: Poset) -> int:
         memo[placed] = total
         return total
 
-    return rec(0, _min_mask(down, full)) if n else 1
+    try:
+        return rec(0, _min_mask(down, full)) if n else 1
+    finally:
+        del rec  # rec refers to itself: without this the memo outlives the call
 
 
 # -- width and chain covers -------------------------------------------------

@@ -100,7 +100,10 @@ def _extension_dp(n, down, start, step):
         memo[placed, state] = acc
         return acc
 
-    return IntPolynomial(unpack_slots(rec(0, start, _min_mask(down, full)), w))
+    try:
+        return IntPolynomial(unpack_slots(rec(0, start, _min_mask(down, full)), w))
+    finally:
+        del rec  # rec refers to itself: without this the memo outlives the call
 
 
 def poincare_via_lrmax(P: Poset) -> IntPolynomial:

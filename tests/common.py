@@ -2,7 +2,7 @@
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 from posetcones import (
@@ -96,7 +96,74 @@ def multinomial(a):
     return out
 
 
+def compositions(total):
+    """Every composition of total into positive parts, as tuples."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
 CHAIN_UNIONS = ([1] * 8, [2] * 6, [3] * 5, [4, 4, 4], [7, 1, 1, 1, 1], [5, 3, 2, 1], [6, 5])
+
+
+# -- the signed up-set recursion (oracle for the transverse DP) -----------------
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def signed_upset_poly(P: Poset):
+    """Poin(P, t) as `transverse_poly_coeffs` gives it, by a signed recursion
+    over the up-sets A of P that knows no forbidden level:
+
+        f(A) = sum over nonempty S within min A of
+               (-1)^(|S|-1) prod_{j=1}^{|S|-1} (1 - j t) * f(A - S),
+
+    with f(empty) = 1 and f(A) = prod_{j<|A|} (1 + j t) on an antichain A.
+
+    Why: a block of a transverse partition of A is minimal in the quotient
+    exactly when it lies in min A.  Sum over the nonempty sets T of minimal
+    blocks with sign (-1)^(|T|+1), which is 1 for any poset; the blocks of T
+    cover a set S within min A, the rest is a transverse partition of A - S,
+    and summing (-1)^(#blocks-1) prod (|B|-1)! t^(|B|-1) over the partitions
+    of S gives prod_{j=1}^{|S|-1} (j t - 1), the weight below.
+    """
+    n = P.n
+    down = P._down
+    weight = [[1]]  # weight[k-1] = prod_{j=1}^{k-1} (j t - 1), for |S| = k
+    free = [[1]]    # free[k-1] = prod_{j=1}^{k-1} (1 + j t), an antichain of k
+    for j in range(1, n):
+        weight.append(_poly_mul(weight[-1], [-1, j]))
+        free.append(_poly_mul(free[-1], [1, j]))
+    memo = {0: [1]}
+
+    def f(alive):
+        got = memo.get(alive)
+        if got is not None:
+            return got
+        mins = [v for v in range(n) if alive >> v & 1 and not down[v] & alive]
+        if len(mins) == alive.bit_count():
+            out = free[len(mins) - 1]
+        else:  # degree at most |A| - 1, kept without trailing zeros
+            out = [0] * alive.bit_count()
+            for k in range(1, len(mins) + 1):
+                for S in combinations(mins, k):
+                    rest = alive & ~sum(1 << v for v in S)
+                    for d, c in enumerate(_poly_mul(weight[k - 1], f(rest))):
+                        out[d] += c
+            while len(out) > 1 and not out[-1]:
+                out.pop()
+        memo[alive] = out
+        return out
+
+    return f((1 << n) - 1)
 
 
 # -- rescanning down-set walks (oracles) ---------------------------------------

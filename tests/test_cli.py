@@ -402,6 +402,31 @@ def test_foata_cli_surface(capsys):
     assert (code, out) == (0, "[3,8,9,6,1,4,2,7,10,5]\n")
 
 
+@pytest.mark.parametrize("variant, arrays, options", [
+    ("decompose", ["1,2;2,1"], ["--support", "1,1"]),
+    ("decompose", ["2,4,4,3,1,2,1,3,4,2"], ["--support", "2,3,2,3", "--machine"]),
+    ("intercalate", ["1,2;2,1", "3;3"], ["--machine"]),
+    ("fcyc", ["2,1,1"], ["--support", "2,1"]),
+])
+def test_foata_arrays_may_follow_options(capsys, variant, arrays, options):
+    want = run(capsys, "foata", variant, *arrays, *options)
+    assert want[0] == 0 and want[1]
+    assert run(capsys, "foata", variant, *options, *arrays) == want
+    assert run(capsys, "foata", variant, arrays[0], *options, *arrays[1:]) == want
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["decompose", "1,2;2,1", "--bogus"], "--bogus"),
+    (["decompose", "--bogus", "1,2;2,1"], "--bogus 1,2;2,1"),
+    (["fcyc", "1,2;2,1", "-x"], "-x"),
+])
+def test_foata_unknown_option_is_still_unrecognized(capsys, argv, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["foata", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {extra}\n")
+
+
 def test_foata_argument_checks(capsys):
     code, _, err = run(capsys, "foata", "decompose")
     assert code == 2

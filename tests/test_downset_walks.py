@@ -8,7 +8,9 @@ image in one scan of the word and `phi` runs on plain lists; they are
 compared with `common`'s versions built on the `level_decompose` record
 and on generators."""
 
+import gc
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import islice, permutations
 
@@ -16,6 +18,7 @@ import pytest
 
 from posetcones import (
     ChainDecomposition,
+    MultisetPermutation,
     Permutation,
     PosetconesError,
     SetPartition,
@@ -23,9 +26,13 @@ from posetcones import (
     chain_cover_width2,
     count_linear_extensions,
     enumerate_transverse,
+    foata_phi,
+    foata_phi_inv,
     grid,
     is_linear_extension,
     linear_extensions,
+    multiset_decode,
+    multiset_encode,
     omega,
     omega_inv,
     p_eulerian,
@@ -34,6 +41,7 @@ from posetcones import (
     phi,
     poincare_via_lrmax,
     poincare_via_width2,
+    prime_decompose,
     psi,
     random_poset,
     transverse_permutations,
@@ -48,6 +56,7 @@ from common import (
     CHAIN_UNIONS,
     all_labeled_posets,
     all_partitions,
+    compositions,
     keyed_phi,
     record_psi,
     rescan_count_linear_extensions,
@@ -58,6 +67,7 @@ from common import (
     rescan_omega_inv,
     rescan_transverse_poly_coeffs,
     set_cycles,
+    signed_upset_poly,
 )
 
 
@@ -90,6 +100,16 @@ def _automaton_routes(P):
 def test_transverse_dp_matches_rescan_oracle():
     for P in walk_corpus():
         assert transverse_poly_coeffs(P) == rescan_transverse_poly_coeffs(P), P.relations()
+
+
+def test_transverse_dp_matches_signed_upset_recursion():
+    # an oracle that shares nothing with the DP's forbidden levels
+    rng = random.Random(20)
+    extra = [random_poset(rng.randint(0, 10), rng.choice([0.1, 0.25, 0.4, 0.6]), rng)
+             for _ in range(200)]
+    extra += [grid(rows, cols) for rows in range(1, 6) for cols in range(rows, 7)]
+    for P in walk_corpus() + tuple(extra):
+        assert transverse_poly_coeffs(P) == signed_upset_poly(P), P.relations()
 
 
 def test_linear_extension_count_matches_rescan_oracle():
@@ -211,6 +231,21 @@ def test_built_objects_equal_their_validated_forms():
             assert tau == Permutation(tau.images), (P.relations(), w)
         for tau in islice(transverse_permutations(P), 200):
             assert tau == Permutation.from_cycles(P.n, tau.cycles()), (P.relations(), tau)
+    # so do multiset_encode, prime_decompose and foata_phi, and foata_phi_inv
+    # decodes without `_check_support`
+    supports = [a for total in range(7) for a in compositions(total)]
+    supports += [tuple(a) for a in CHAIN_UNIONS] + [(2, 0, 1), (0, 3, 0), (0,)]
+    for a in supports:
+        top = [j for j, aj in enumerate(a, start=1) for _ in range(aj)]
+        for lam in islice(linear_extensions(union_of_chains(a)), PSI_CAP):
+            sigma = multiset_encode(a, lam)
+            assert sigma == MultisetPermutation.from_word(sigma.bottom_row(), support=a), lam
+            for f in prime_decompose(sigma):
+                assert f == MultisetPermutation(f.columns, ell=f.ell), (lam, f)
+            tau = foata_phi(a, lam)
+            assert tau == Permutation(tau.images), (a, lam)
+            checked = MultisetPermutation.from_word([top[j - 1] for j in tau.images], support=a)
+            assert foata_phi_inv(a, tau) == multiset_decode(a, checked) == lam
 
 
 def test_cover_rows_match_the_definition():
@@ -269,6 +304,51 @@ def test_width2_bijections_scan_no_minima(monkeypatch):
     for dd in (d, ChainDecomposition(P, d.p2, d.p1)):
         for w in words:
             assert omega_inv(P, dd, omega(P, dd, w)) == w
+
+
+def _held_kib(walk, P):
+    """KiB still allocated after a second call of walk(P), with the cyclic
+    collector off.  The first call refills CPython's spare-tuple free lists
+    (2 000 tuples of each small size, about 250 KiB after lrmax), which the
+    second call only reuses, so the second call shows what a walk keeps."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        walk(P)
+        mark = tracemalloc.get_traced_memory()[0]
+        walk(P)
+        return (tracemalloc.get_traced_memory()[0] - mark) / 1024
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def _self_referencing_walk(P):
+    """Negative control: a memo walk whose rec keeps itself, and so its
+    memo, alive until a cyclic collection."""
+    memo = {}
+
+    def rec(placed):
+        if placed not in memo:
+            memo[placed] = 1 + sum(rec(placed | 1 << v) for v in range(P.n)
+                                   if not placed >> v & 1)
+        return memo[placed]
+
+    return rec(0)
+
+
+@pytest.mark.parametrize("walk, P", [
+    (transverse_poly_coeffs, union_of_chains([2] * 5)),
+    (poincare_via_lrmax, grid(3, 5)),
+    (count_linear_extensions, antichain(10)),
+], ids=["transverse_poly_coeffs", "poincare_via_lrmax", "count_linear_extensions"])
+def test_memo_walks_free_their_memo_on_return(walk, P):
+    assert _held_kib(walk, P) < 4
+
+
+def test_self_referencing_walk_keeps_its_memo():
+    assert _held_kib(_self_referencing_walk, antichain(10)) > 40
 
 
 def test_rescan_oracle_scans_once_per_state(monkeypatch):

@@ -34,6 +34,8 @@ from posetcones import (
 from posetcones.foata import _decompose_indexed, fcyc_distribution, intercalate_all
 from posetcones.whitney import poincare_via_foata
 
+from common import compositions
+
 RUNNING_TOP = [1, 1, 2, 2, 2, 3, 3, 4, 4, 4]
 RUNNING_BOT = [2, 4, 4, 3, 1, 2, 1, 3, 4, 2]
 
@@ -242,15 +244,6 @@ def test_enumerate_multiset_perms():
 
 # -- oracles for the circuit walker ------------------------------------------
 
-def _compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
 def _all_words(a):
     """Every bottom word with support a, from itertools, not from the library."""
     letters = [j for j, m in enumerate(a, start=1) for _ in range(m)]
@@ -283,7 +276,7 @@ def _reference_circuits(sigma):
 
 def test_every_small_word_factors_into_primes_that_intercalate_back():
     for total in range(7):
-        for a in _compositions(total):
+        for a in compositions(total):
             for w in _all_words(a):
                 sigma = MultisetPermutation.from_word(w, support=a)
                 factors = prime_decompose(sigma)
@@ -293,7 +286,7 @@ def test_every_small_word_factors_into_primes_that_intercalate_back():
 
 def test_walker_matches_the_spelled_out_walk():
     for total in range(7):
-        for a in _compositions(total):
+        for a in compositions(total):
             for w in _all_words(a):
                 sigma = MultisetPermutation.from_word(w, support=a)
                 assert _decompose_indexed(sigma) == _reference_circuits(sigma), w
@@ -316,7 +309,7 @@ def test_large_and_sparse_letters_factor_like_their_ranks():
 
 def test_route_reversed_is_the_fcyc_distribution():
     for total in range(8):
-        for a in _compositions(total):
+        for a in compositions(total):
             route = poincare_via_foata(a)
             assert route.reversed_to_degree(total) == fcyc_distribution(a), a
 

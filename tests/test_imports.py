@@ -106,7 +106,8 @@ def unread_private_definitions(sources):
 # the only functions that may build without validation; a new caller of
 # `_built` must be added here on purpose
 BUILT_CALLERS = [("bijections.py", "psi"), ("bijections.py", "transverse_permutations"),
-                 ("partitions.py", "enumerate_transverse")]
+                 ("foata.py", "foata_phi"), ("foata.py", "multiset_encode"),
+                 ("foata.py", "prime_decompose"), ("partitions.py", "enumerate_transverse")]
 
 
 def built_readers(sources):

@@ -29,7 +29,7 @@ from posetcones import (
     union_of_chains,
     width,
 )
-from common import all_labeled_posets, brute_force_width, induced
+from common import all_labeled_posets, brute_force_width, compositions, induced
 
 
 EX_PHI_RELATIONS = [
@@ -62,6 +62,25 @@ def test_closure_is_idempotent_on_random_inputs():
         P = random_poset(n, rng.choice([0.1, 0.3, 0.5, 0.8]), rng)
         again = poset_from_relations(n, P.relations())
         assert again == P
+
+
+def _chain_union_by_closure(a):
+    pairs, base = [], 0
+    for ai in a:
+        pairs += [(base + k, base + k + 1) for k in range(1, ai)]
+        base += ai
+    return poset_from_relations(base, pairs)
+
+
+def test_chain_union_rows_equal_the_closure_build():
+    supports = [a for total in range(10) for a in compositions(total)]
+    supports += [(0,), (0, 0), (1, 0), (0, 1), (2, 0, 1), (0, 3, 0)]
+    for a in supports:
+        got, want = union_of_chains(a), _chain_union_by_closure(a)
+        assert (got.n, got._up, got._down) == (want.n, want._up, want._down), a
+    for a in [(-1,), (2, -1), (1, 0, -1)]:
+        with pytest.raises(IndexOutOfRange, match="^chain lengths must be nonnegative$"):
+            union_of_chains(a)
 
 
 def test_constructors():
