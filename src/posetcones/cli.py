@@ -28,6 +28,7 @@ from .genfun import chains_gf_rhs
 from .partitions import enumerate_transverse, parse_partition, partition_to_text
 from .polynomials import count_real_roots, parse_int_list, poly_from_machine
 from .posets import (
+    SIZE_GUARD,
     ChainDecomposition,
     antichain,
     chain_cover_width2,
@@ -177,6 +178,10 @@ def cmd_foata(args):
     if args.variant in ("decompose", "fcyc"):
         support = _parse_support(args.support) if args.support else None
         sigma = parse_multiset_perm(args.arrays[0], support=support)
+    elif args.variant in ("phi", "phi-inv"):  # the chain union on sum(a) points
+        a = _parse_support(args.support)
+        if sum(a) > SIZE_GUARD:
+            raise ParseError(f"support total {sum(a)} exceeds the size guard {SIZE_GUARD}")
     if args.variant == "decompose":
         factors = prime_decompose(sigma)
         for f in factors:
@@ -189,11 +194,9 @@ def cmd_foata(args):
     elif args.variant == "fcyc":
         print(fcyc(sigma))
     elif args.variant == "phi":
-        a = _parse_support(args.support)
         tau = foata_phi(a, _int_list(args.word))
         print(bijections.permutation_to_text(tau, cycles=True))
     else:  # phi-inv
-        a = _parse_support(args.support)
         tau = bijections.parse_permutation(
             args.perm, n=sum(a), implicit_fixed=args.implicit_fixed
         )

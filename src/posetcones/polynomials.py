@@ -174,8 +174,9 @@ def slot_width(n: int) -> int:
 
 def unpack_slots(x: int, w: int) -> list:
     """Coefficients of a nonnegative int that holds coefficient d in bits
-    [d*w, (d+1)*w), lowest first, without trailing zeros.  The memoized DPs
-    of `partitions` and `whitney` keep their values packed this way."""
+    [d*w, (d+1)*w), lowest first, without trailing zeros.  The transverse
+    DP of `partitions` and the extension sweep of `posets` keep their
+    values packed this way."""
     mask = (1 << w) - 1
     out = []
     while x:

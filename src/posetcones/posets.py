@@ -5,6 +5,10 @@ P, 0-based internally; every public surface speaks 1-based labels).  Closure
 is Warshall on masks.  `parse_poset`, the door for outside input, refuses
 more than SIZE_GUARD = 64 points, the word-size cap a C implementation would
 have; the constructors take any size, since Python masks are not bounded.
+
+Linear extensions are counted by forward sweeps over the down-set masks, one
+level at a time (`count_linear_extensions`, and `_extension_dp` for the
+lrmax, width2 and Eulerian routes of `whitney`); nothing recurses.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .errors import (
     ParseError,
     WidthExceeded,
 )
+from .polynomials import IntPolynomial, slot_width, unpack_slots
 
 SIZE_GUARD = 64
 
@@ -283,37 +288,70 @@ def is_linear_extension(P: Poset, word) -> bool:
 
 
 def count_linear_extensions(P: Poset) -> int:
-    """Exact count by DP over down-set masks (memo keyed by placed-mask).
-
-    Each call carries the minima of the unplaced elements; a child's minima
-    are the rest of them plus the covers of the placed one whose down rows
-    are then all placed (`_minima_after`).  A child found in the memo costs
-    no call.
-    """
+    """Exact count by a forward sweep over the down-set masks: level k maps
+    each down-set `placed` of k elements to [minima of the unplaced, prefix
+    count e(P[placed])].  Placing a minimum b moves the count to placed | b,
+    whose minima are derived once, when it first appears (`_minima_after`).
+    Only two levels are held, and nothing recurses."""
     n = P.n
     down = P._down
     cover = _cover_rows(down)
-    full = (1 << n) - 1
-    memo = {full: 1}
+    level = {0: [_min_mask(down, (1 << n) - 1), 1]}
+    for _ in range(n):
+        next_level = {}
+        for placed, (mins, count) in level.items():
+            x = mins
+            while x:
+                b = x & -x
+                x ^= b
+                nxt = placed | b
+                entry = next_level.get(nxt)
+                if entry is None:
+                    next_level[nxt] = [_minima_after(mins, b, ~nxt, down, cover), count]
+                else:
+                    entry[1] += count
+        level = next_level
+    return level[(1 << n) - 1][1]
 
-    def rec(placed, mins):
-        total = 0
-        x = mins
-        while x:
-            b = x & -x
-            x ^= b
-            nxt = placed | b
-            val = memo.get(nxt)
-            if val is None:
-                val = rec(nxt, _minima_after(mins, b, ~nxt, down, cover))
-            total += val
-        memo[placed] = total
-        return total
 
-    try:
-        return rec(0, _min_mask(down, full)) if n else 1
-    finally:
-        del rec  # rec refers to itself: without this the memo outlives the call
+def _extension_dp(n, down, start, step):
+    """coeffs[k] = number of linear extensions whose step exponents sum to k.
+
+    The sweep of `count_linear_extensions` with states: level k maps each
+    down-set `placed` of k elements to (minima, counts), where counts maps
+    a state to the packed prefix counts of the words reaching it.  Keeping
+    the states under their mask saves a (placed, state) key per step.
+    step(placed, state, v) returns (next_state, exponent) for placing the
+    0-based element v, where placed already includes v.  A step may drop
+    from next_state whatever no later step can read; the level then merges
+    the states that differ only there, and the counts stay exact.
+
+    Counts are packed ints, coefficient k in bits [k*w, (k+1)*w) with
+    w = slot_width(n), so a step adds its prefix count shifted by e*w.  No
+    slot carries: each coefficient counts linear extensions of P[placed],
+    at most e(P[placed]) <= n! < 2^w, and the last level's sum at most e(P).
+    """
+    cover = _cover_rows(down)
+    w = slot_width(n)
+    level = {0: (_min_mask(down, (1 << n) - 1), {start: 1})}
+    for _ in range(n):
+        next_level = {}
+        for placed, (mins, counts) in level.items():
+            x = mins
+            while x:
+                b = x & -x
+                x ^= b
+                nxt = placed | b
+                entry = next_level.get(nxt)
+                if entry is None:
+                    entry = next_level[nxt] = _minima_after(mins, b, ~nxt, down, cover), {}
+                after_counts = entry[1]
+                v = b.bit_length() - 1
+                for state, count in counts.items():
+                    after, e = step(nxt, state, v)
+                    after_counts[after] = after_counts.get(after, 0) + (count << (e * w))
+        level = next_level
+    return IntPolynomial(unpack_slots(sum(level[(1 << n) - 1][1].values()), w))
 
 
 # -- width and chain covers -------------------------------------------------

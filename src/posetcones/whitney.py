@@ -8,10 +8,10 @@ unsigned Whitney numbers.  Routes:
   foata       multiset-word factorization count (disjoint chains only)
   width2      descent statistic over a 2-chain decomposition
 
-The lrmax, width2 and Eulerian statistics are counted by one memoized
-automaton over linear extensions (`_extension_dp`): each route supplies its
-own step function, so the count needs states, not words.  Like the
-transverse DP, the automaton keeps each memo value as one packed int.
+The lrmax, width2 and Eulerian statistics are counted by one automaton over
+linear extensions, the level sweep `posets._extension_dp`: each route
+supplies its own step function, so the count needs states, not words.  Like
+the transverse DP, the sweep keeps each count vector as one packed int.
 
 The lrmax state keeps only what a later step can read.  Later steps read
 the current and previous level only as `down[v] & level`, and the running
@@ -37,13 +37,11 @@ from .errors import NotNaturallyLabeled
 from .foata import _fcyc_counts
 from .genfun import _compositions_upto, chains_gf_rhs
 from .partitions import transverse_poly_coeffs
-from .polynomials import IntPolynomial, slot_width, stirling_first_kind_row, unpack_slots
+from .polynomials import IntPolynomial, stirling_first_kind_row
 from .posets import (
     Poset,
     _bits,
-    _cover_rows,
-    _min_mask,
-    _minima_after,
+    _extension_dp,
     antichain,
     chain_cover_width2,
     disjoint_chain_lengths,
@@ -56,55 +54,7 @@ def poincare_via_transverse(P: Poset) -> IntPolynomial:
     return IntPolynomial(transverse_poly_coeffs(P))
 
 
-# -- extension automaton ------------------------------------------------------
-
-def _extension_dp(n, down, start, step):
-    """coeffs[k] = number of linear extensions whose step exponents sum to k.
-
-    Walks down-set masks as `count_linear_extensions` does and memoizes the
-    suffix count-vector on (placed, state); step(placed, state, v) returns
-    (next_state, exponent) for placing the 0-based element v, where placed
-    already includes v.  A step may drop from next_state whatever no step
-    after `placed` can read; the memo then merges the states that differ
-    only there, and the counts stay exact.
-
-    Each call carries the minima of the unplaced elements, which are the
-    elements that can be placed next.  Placing v leaves the other minima
-    plus the covers of v whose down rows are then all placed
-    (`posets._minima_after`); a child found in the memo costs no call.
-
-    Memo values are packed ints, coefficient k in bits [k*w, (k+1)*w) with
-    w = slot_width(n), so a step adds its tail shifted by e*w.  No slot
-    carries: the coefficients at (placed, state) are nonnegative and count
-    the linear extensions of the unplaced subposet, at most n! < 2^w.
-    """
-    full = (1 << n) - 1
-    cover = _cover_rows(down)
-    w = slot_width(n)
-    memo = {}
-
-    def rec(placed, state, mins):
-        if placed == full:
-            return 1
-        acc = 0
-        x = mins
-        while x:
-            b = x & -x
-            x ^= b
-            nxt = placed | b
-            after, e = step(nxt, state, b.bit_length() - 1)
-            tail = memo.get((nxt, after))
-            if tail is None:
-                tail = rec(nxt, after, _minima_after(mins, b, ~nxt, down, cover))
-            acc += tail << (e * w)
-        memo[placed, state] = acc
-        return acc
-
-    try:
-        return IntPolynomial(unpack_slots(rec(0, start, _min_mask(down, full)), w))
-    finally:
-        del rec  # rec refers to itself: without this the memo outlives the call
-
+# -- extension automaton routes -----------------------------------------------
 
 def poincare_via_lrmax(P: Poset) -> IntPolynomial:
     """Sum of t^(n - #LR maxima) over all linear extensions.
@@ -120,12 +70,17 @@ def poincare_via_lrmax(P: Poset) -> IntPolynomial:
     n = P.n
     down = P._down
     full = (1 << n) - 1
-    lives = {}
+    lives = {}  # live(placed) on the level the sweep is building
+    size = 0  # |placed| on that level
 
     def step(placed, state, v):
+        nonlocal size
         cur, prev, first, above = state
         live = lives.get(placed)
         if live is None:
+            if placed.bit_count() != size:
+                lives.clear()
+                size = placed.bit_count()
             live = 0
             for u in _bits(full & ~placed):
                 live |= down[u]

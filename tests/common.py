@@ -1,9 +1,11 @@
 """Shared generators and brute-force oracles for the test suite."""
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
+from operator import gt, sub
 
 from posetcones import (
     IndexOutOfRange,
@@ -20,6 +22,7 @@ from posetcones import (
     is_linear_extension,
     is_transverse,
     level_decompose,
+    linear_extensions,
     poset_from_relations,
     random_poset,
 )
@@ -166,11 +169,69 @@ def signed_upset_poly(P: Poset):
     return f((1 << n) - 1)
 
 
+# -- Poin from descending runs (oracle, Stanley's P-partitions) ---------------
+
+@lru_cache(maxsize=None)
+def run_weights(n, const=-1):
+    """h_0..h_n with h_c = sum over compositions beta of c of prod w_{beta_i},
+    w_k = prod_{j=1}^{k-1} (j t + const), by h_c = sum_k w_k h_{c-k}.  With
+    const = -1 this is phi of the fundamental quasisymmetric function of a
+    run of c letters; `const` exists for the mutation check."""
+    weight = [[1]]
+    for j in range(1, n):
+        weight.append(_poly_mul(weight[-1], [const, j]))
+    h = [[1]]
+    for c in range(1, n + 1):
+        out = [0] * c
+        for k in range(1, c + 1):
+            for d, x in enumerate(_poly_mul(weight[k - 1], h[c - k])):
+                out[d] += x
+        h.append(out)
+    return tuple(map(tuple, h))
+
+
+def descending_runs_poly(P: Poset, descending=True, const=-1) -> IntPolynomial:
+    """Poin(P, t) as a sum over the linear extensions w of P, relabeled by
+    the positions in the first one (a natural labeling), of the product of
+    h_|r| over the maximal descending runs r of w (`run_weights`).
+
+    Why: Poin(P) sums over the strictly order-preserving surjections
+    f: P -> [m] the weight prod_i w_{|f^-1(i)|}, which is phi of Stanley's
+    strict P-partition enumerator in the monomial quasisymmetric basis,
+    phi(M_alpha) = prod w_{alpha_i}.  The fundamental lemma writes that
+    enumerator as one fundamental quasisymmetric function per linear
+    extension, and phi of a fundamental is the run product (Stanley 1972,
+    Gessel 1984).  It shares no code with the four routes.  `descending`
+    and `const` exist for the mutation checks: ascending runs, or (j t + 1)
+    in w_k.
+    """
+    words = list(linear_extensions(P))
+    pos = {x: i for i, x in enumerate(words[0])}
+    descents = Counter()  # words per descent pattern of their neighbour pairs
+    for word in words:
+        u = [pos[x] for x in word]
+        descents[tuple(map(gt, u, u[1:]))] += 1
+    runs = Counter()  # words per multiset of run lengths
+    for pattern, count in descents.items():
+        cuts = [0] + [i for i, d in enumerate(pattern, 1) if d != descending] + [P.n]
+        runs[tuple(sorted(map(sub, cuts[1:], cuts)))] += count
+    h = run_weights(P.n, const)
+    total = IntPolynomial([])
+    for lengths, count in runs.items():
+        poly = [count]
+        for r in lengths:
+            poly = _poly_mul(poly, h[r])
+        total = total + IntPolynomial(poly)
+    return total
+
+
 # -- rescanning down-set walks (oracles) ---------------------------------------
 #
 # The memoized walks and the streams as they ran before they carried their
-# minima, and the width-2 bijections as they ran before they read positions:
-# each state finds its minima by scanning every alive bit or every label.
+# minima (the linear-extension count and the extension automaton also as
+# they ran before they became level sweeps), and the width-2 bijections as
+# they ran before they read positions: each state finds its minima by
+# scanning every alive bit or every label.
 
 def rescan_transverse_poly_coeffs(P):
     """`partitions.transverse_poly_coeffs` with `_min_mask` per state."""
@@ -213,7 +274,8 @@ def rescan_transverse_poly_coeffs(P):
 
 
 def rescan_count_linear_extensions(P):
-    """`posets.count_linear_extensions` testing every label per state."""
+    """`posets.count_linear_extensions` as a recursive memo walk, testing
+    every label per state."""
     n = P.n
     down = P._down
     full = (1 << n) - 1
@@ -236,7 +298,8 @@ def rescan_count_linear_extensions(P):
 
 
 def rescan_extension_dp(n, down, start, step):
-    """`whitney._extension_dp` testing every label per state."""
+    """`posets._extension_dp` as a recursive memo walk, testing every label
+    per state."""
     full = (1 << n) - 1
     w = slot_width(n)
     memo = {}

@@ -240,6 +240,31 @@ def test_genfun_past_the_entry_bound_exit_3(variant, ell, degree):
     assert proc.stderr.startswith(f"error: ell={ell}, cap={degree} needs more than ")
 
 
+@pytest.mark.parametrize("argv, total", [
+    (["phi-inv", "--support", "10000000000", "--perm", "(1)"], 10_000_000_000),
+    (["phi", "--support", "3000000000", "--word", "1"], 3_000_000_000),
+], ids=["phi-inv", "phi"])
+def test_foata_phi_past_the_size_guard_exit_2(argv, total):
+    # under a 1 GB address space, so a support that is not refused before
+    # the chain union or the permutation is built ends in MemoryError
+    src = os.path.dirname(os.path.dirname(posetcones.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetcones", "foata", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: support total {total} exceeds the size guard 64\n"
+
+
+def test_foata_phi_at_the_size_guard(capsys):
+    word = ",".join(str(x) for x in range(1, 65))
+    code, out, _ = run(capsys, "foata", "phi", "--support", "60,4", "--word", word)
+    assert (code, out) == (0, "".join(f"({x})" for x in range(1, 65)) + "\n")
+    code, out, _ = run(capsys, "foata", "phi-inv", "--support", "60,4",
+                       "--perm", "(1)", "--implicit-fixed")
+    assert (code, out) == (0, f"[{word}]\n")
+
+
 def test_genfun_negative_degree_exit_2():
     code, err = run_process("genfun", "verify", "--degree", "-1")
     assert code == 2 and "Traceback" not in err

@@ -3,13 +3,17 @@ extension automaton and the two streams `linear_extensions` and
 `enumerate_transverse`) carry each state's minima from its parent's, and the
 width-2 bijections `omega`/`omega_inv` read positions in the word and the
 chains.  Here they are compared with the rescanning walks of `common`,
-which find every state's minima from scratch.  `psi` writes each letter's
+which find every state's minima from scratch; the count and the automaton
+are level sweeps, and those oracles are recursive memo walks.  The routes
+are also compared with `common.descending_runs_poly`, which sums over the
+linear extensions by their descending runs.  `psi` writes each letter's
 image in one scan of the word and `phi` runs on plain lists; they are
 compared with `common`'s versions built on the `level_decompose` record
 and on generators."""
 
 import gc
 import random
+import sys
 import tracemalloc
 from functools import lru_cache
 from itertools import islice, permutations
@@ -18,6 +22,7 @@ import pytest
 
 from posetcones import (
     ChainDecomposition,
+    IntPolynomial,
     MultisetPermutation,
     Permutation,
     PosetconesError,
@@ -57,6 +62,7 @@ from common import (
     all_labeled_posets,
     all_partitions,
     compositions,
+    descending_runs_poly,
     keyed_phi,
     record_psi,
     rescan_count_linear_extensions,
@@ -123,6 +129,31 @@ def test_extension_automaton_matches_rescan_oracle(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(whitney, "_extension_dp", rescan_extension_dp)
             assert _automaton_routes(P) == got, P.relations()
+
+
+@lru_cache(maxsize=None)
+def _run_corpus():
+    """The corpus members with at most 7! linear extensions."""
+    return tuple(P for P in walk_corpus() if count_linear_extensions(P) <= 5040)
+
+
+def test_routes_match_descending_runs_oracle():
+    corpus = _run_corpus()
+    assert len(corpus) > 4500
+    for P in corpus:
+        want = descending_runs_poly(P)
+        assert IntPolynomial(transverse_poly_coeffs(P)) == want, P.relations()
+        assert poincare_via_lrmax(P) == want, P.relations()
+        if width(P) <= 2:
+            assert poincare_via_width2(P) == want, P.relations()
+
+
+@pytest.mark.parametrize("mutation", [{"descending": False}, {"const": 1}],
+                         ids=["ascending-runs", "plus-jt"])
+def test_descending_runs_oracle_mutations_fail(mutation):
+    # negative controls: each mutated oracle disagrees with the DP somewhere
+    assert any(descending_runs_poly(P, **mutation) != IntPolynomial(transverse_poly_coeffs(P))
+               for P in _run_corpus())
 
 
 STREAM_CAP = 500  # antichain 10 has 10! extensions and Bell(10) partitions
@@ -275,12 +306,12 @@ def _consumed(stream):
 @pytest.mark.parametrize("module, walk, P", [
     (partitions, transverse_poly_coeffs, grid(4, 6)),
     (posets, count_linear_extensions, grid(4, 6)),
-    (whitney, poincare_via_lrmax, grid(4, 6)),
+    (posets, poincare_via_lrmax, grid(4, 6)),
     (partitions, _consumed(enumerate_transverse), grid(3, 4)),
     (posets, _consumed(linear_extensions), grid(3, 4)),
 ], ids=["posetcones.partitions-transverse_poly_coeffs",
         "posetcones.posets-count_linear_extensions",
-        "posetcones.whitney-poincare_via_lrmax",
+        "posetcones.posets-poincare_via_lrmax",
         "posetcones.partitions-enumerate_transverse",
         "posetcones.posets-linear_extensions"])
 def test_walks_scan_for_minima_only_at_the_root(monkeypatch, module, walk, P):
@@ -345,6 +376,36 @@ def _self_referencing_walk(P):
 ], ids=["transverse_poly_coeffs", "poincare_via_lrmax", "count_linear_extensions"])
 def test_memo_walks_free_their_memo_on_return(walk, P):
     assert _held_kib(walk, P) < 4
+
+
+def _peak_kib(walk, P):
+    """KiB allocated at the peak of a second call of walk(P), over what was
+    allocated before it, with the cyclic collector off (see `_held_kib`)."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        walk(P)
+        mark = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        walk(P)
+        return (tracemalloc.get_traced_memory()[1] - mark) / 1024
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_lrmax_sweep_holds_two_levels_at_its_peak():
+    # the whole memo of a recursive walk peaked near 1.2 MiB here
+    assert _peak_kib(poincare_via_lrmax, grid(4, 6)) < 700
+
+
+def test_sweeps_need_no_recursion_depth():
+    # a chain longer than the recursion limit has one linear extension
+    P = union_of_chains([sys.getrecursionlimit() + 100])
+    assert count_linear_extensions(P) == 1
+    one = IntPolynomial([1])
+    assert (poincare_via_lrmax(P), poincare_via_width2(P), p_eulerian(P)) == (one, one, one)
 
 
 def test_self_referencing_walk_keeps_its_memo():

@@ -1,6 +1,6 @@
 """Unused-import, function-local-import, import-order,
-unread-private-definition and unchecked-constructor checks for the library
-modules, written on the stdlib `ast`."""
+unread-private-definition, unchecked-constructor and recursive-closure
+checks for the library modules, written on the stdlib `ast`."""
 
 import ast
 from pathlib import Path
@@ -241,3 +241,65 @@ def test_planted_unchecked_build_is_flagged():
     )
     assert built_readers(planted) == sorted(BUILT_CALLERS + [
         ("cli.py", ""), ("foata.py", "Quick.make"), ("partitions.py", "parse_quickly")])
+
+
+# the only nested functions that call themselves; a memo walk written as a
+# recursive closure holds its memo in a reference cycle and is bounded by
+# the recursion limit, so a new one must be added here on purpose
+RECURSIVE_CLOSURES = [("partitions.py", "_layer_choices.rec"),
+                      ("partitions.py", "enumerate_transverse.rec"),
+                      ("partitions.py", "transverse_poly_coeffs.rec"),
+                      ("posets.py", "_matching_chain_cover.try_augment"),
+                      ("posets.py", "linear_extensions.rec")]
+
+
+def recursive_closures(sources):
+    """(module, qualified name) for each function defined inside another
+    function that reads its own name.
+
+    `sources` maps module file names to their text.
+    """
+    found = set()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(node, scope, nested, name):
+        if isinstance(node, (*functions, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if nested and isinstance(node, functions) and any(
+                    isinstance(sub, ast.Name) and sub.id == node.name
+                    for sub in ast.walk(node)):
+                found.add((name, scope))
+            nested = nested or isinstance(node, functions)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, nested, name)
+
+    for name, text in sources.items():
+        visit(ast.parse(text), "", False, name)
+    return sorted(found)
+
+
+def test_only_the_listed_closures_recurse():
+    assert recursive_closures(SOURCES) == RECURSIVE_CLOSURES
+
+
+def test_planted_recursive_closure_is_flagged():
+    # negative control: a memo walk written as a recursive closure, and a
+    # method and a module-level function that call themselves, which are
+    # not closures
+    planted = dict(SOURCES)
+    planted["posets.py"] += (
+        "\n\ndef count_ideals(P):\n"
+        "    memo = {}\n"
+        "    def rec(placed):\n"
+        "        if placed not in memo:\n"
+        "            memo[placed] = 1 + sum(rec(placed | 1 << v) for v in range(P.n))\n"
+        "        return memo[placed]\n"
+        "    return rec(0)\n"
+        "\n\nclass Walk:\n"
+        "    def go(self, k):\n"
+        "        return go(k - 1) if k else 0\n"
+        "\n\ndef again(k):\n"
+        "    return again(k - 1) if k else 0\n"
+    )
+    assert recursive_closures(planted) == sorted(
+        RECURSIVE_CLOSURES + [("posets.py", "count_ideals.rec")])
