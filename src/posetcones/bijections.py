@@ -43,7 +43,8 @@ from .partitions import (
     check_transverse,
     enumerate_transverse,
 )
-from .posets import Poset, is_linear_extension
+from .polynomials import parse_int_list
+from .posets import SIZE_GUARD, Poset, is_linear_extension
 
 
 class Permutation:
@@ -158,19 +159,14 @@ def parse_permutation(text: str, n=None, implicit_fixed=False) -> Permutation:
                 raise ParseError("unclosed cycle")
             body = rest[1:close].strip()
             if body:
-                try:
-                    cycles.append([int(t) for t in body.replace(",", " ").split()])
-                except ValueError:
-                    raise ParseError(f"bad cycle {body!r}") from None
+                cycles.append(parse_int_list(body, "cycle"))
             rest = rest[close + 1:].strip()
-        labels = [x for c in cycles for x in c]
-        size = n if n is not None else (max(labels) if labels else 0)
+        size = n if n is not None else max((x for c in cycles for x in c), default=0)
+        if n is None and size > SIZE_GUARD:  # as parse_poset, before any row is built
+            raise ParseError(f"label {size} exceeds the size guard {SIZE_GUARD}")
         return Permutation.from_cycles(size, cycles, implicit_fixed=implicit_fixed)
     body = s[1:-1] if s.startswith("[") and s.endswith("]") else s
-    try:
-        images = [int(t) for t in body.replace(",", " ").split()]
-    except ValueError:
-        raise ParseError(f"bad one-line permutation {text!r}") from None
+    images = parse_int_list(body, "one-line permutation")
     if n is not None and len(images) != n:
         raise ParseError(f"expected {n} entries, got {len(images)}")
     return Permutation(images)

@@ -76,6 +76,10 @@ def _int_list(text):
     return parse_int_list(text, "label list")
 
 
+def _word_text(word):
+    return "[" + ",".join(map(str, word)) + "]"
+
+
 # -- commands -------------------------------------------------------------------
 
 def _incomparable_pairs(P):
@@ -113,7 +117,7 @@ def cmd_linext(args):
     P = _load_poset(args.poset)
     count = 0
     for word in linear_extensions(P):
-        print("[" + ",".join(str(x) for x in word) + "]")
+        print(_word_text(word))
         count += 1
     if not args.machine:
         print(f"count: {count}")
@@ -151,7 +155,7 @@ def cmd_bij(args):
             args.perm, n=P.n, implicit_fixed=args.implicit_fixed
         )
         word = bijections.phi(P, tau)
-        print("[" + ",".join(str(x) for x in word) + "]")
+        print(_word_text(word))
     elif args.variant == "psi":
         tau = bijections.psi(P, _int_list(args.word))
         print(bijections.permutation_to_text(tau, cycles=True))
@@ -163,7 +167,7 @@ def cmd_bij(args):
         d = _decomposition(P, args)
         pi = parse_partition(args.partition, n=P.n)
         word = bijections.omega_inv(P, d, pi)
-        print("[" + ",".join(str(x) for x in word) + "]")
+        print(_word_text(word))
     return 0
 
 
@@ -201,7 +205,7 @@ def cmd_foata(args):
             args.perm, n=sum(a), implicit_fixed=args.implicit_fixed
         )
         lam = foata_phi_inv(a, tau)
-        print("[" + ",".join(str(x) for x in lam) + "]")
+        print(_word_text(lam))
     return 0
 
 

@@ -36,7 +36,7 @@ from .errors import (
     SupportMismatch,
 )
 from .partitions import check_transverse
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, parse_int_list
 from .posets import count_linear_extensions, is_linear_extension, poset_from_relations, union_of_chains
 from .bijections import Permutation
 
@@ -144,24 +144,15 @@ def multiset_perm_to_text(sigma: MultisetPermutation) -> str:
 
 def parse_multiset_perm(text: str, support=None) -> MultisetPermutation:
     """`1,1,2;2,1,1` two-line form, or a bare bottom word `2,1,1`."""
-    s = text.strip()
-    if ";" in s:
-        top_s, bot_s = s.split(";", 1)
-        try:
-            top = [int(t) for t in top_s.replace(",", " ").split()]
-            bottom = [int(t) for t in bot_s.replace(",", " ").split()]
-        except ValueError:
-            raise ParseError(f"bad two-line array {text!r}") from None
-        sigma = MultisetPermutation.from_rows(top, bottom)
+    if ";" in text:
+        top_s, bot_s = text.split(";", 1)
+        sigma = MultisetPermutation.from_rows(parse_int_list(top_s, "top row"),
+                                              parse_int_list(bot_s, "bottom row"))
         if support is not None:
             sigma = MultisetPermutation(sigma.columns, ell=len(support))
             _check_support(sigma, support)
         return sigma
-    try:
-        word = [int(t) for t in s.replace(",", " ").split()]
-    except ValueError:
-        raise ParseError(f"bad word {text!r}") from None
-    return MultisetPermutation.from_word(word, support=support)
+    return MultisetPermutation.from_word(parse_int_list(text, "word"), support=support)
 
 
 def intercalation(rho: MultisetPermutation, tau: MultisetPermutation) -> MultisetPermutation:

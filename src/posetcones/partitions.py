@@ -49,8 +49,8 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import IndexOutOfRange, NotTransverse, ParseError
-from .polynomials import slot_width, stirling_first_kind_row, unpack_slots
-from .posets import Poset, _bits, _cover_rows, _min_mask, _minima_after
+from .polynomials import parse_int_list, slot_width, stirling_first_kind_row, unpack_slots
+from .posets import SIZE_GUARD, Poset, _bits, _cover_rows, _min_mask, _minima_after
 
 
 class SetPartition:
@@ -122,14 +122,10 @@ def parse_partition(text: str, n=None) -> SetPartition:
         if n in (None, 0):
             return SetPartition(0, [])
         raise ParseError("empty partition text for n > 0")
-    blocks = []
-    for part in text.split("|"):
-        try:
-            blocks.append([int(tok) for tok in part.split(",") if tok.strip() != ""])
-        except ValueError:
-            raise ParseError(f"bad block {part!r}") from None
-    flat = [x for blk in blocks for x in blk]
-    size = max(flat, default=0) if n is None else n
+    blocks = [parse_int_list(part, "block") for part in text.split("|")]
+    size = n if n is not None else max((x for blk in blocks for x in blk), default=0)
+    if n is None and size > SIZE_GUARD:  # as parse_poset, before any mask is built
+        raise ParseError(f"label {size} exceeds the size guard {SIZE_GUARD}")
     return SetPartition(size, blocks)
 
 

@@ -146,15 +146,21 @@ class IntPolynomial:
 
 
 def parse_int_list(text: str, what: str) -> list:
-    """Integers separated by spaces or commas; an empty field between commas
-    or at either end is an error, as is a token that is no integer.  `what`
-    names the list in the message."""
+    """Integers separated by spaces or commas, the one grammar for integers
+    in caller text: a token is an optional sign and ASCII digits (no `_`,
+    no other digits), and an empty field between commas or at either end
+    is an error.  `what` names the list in the message."""
     if "," in text and not all(f.strip() for f in text.split(",")):
         raise ParseError(f"empty field in {what} {text!r}")
+    toks = text.replace(",", " ").split()
+    for tok in toks:
+        digits = tok[1:] if tok[0] in "+-" else tok
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"bad {what} {text!r}")
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise ParseError(f"bad {what} {text!r}") from None
+        return [int(tok) for tok in toks]
+    except ValueError:  # past the interpreter's digit limit
+        raise ParseError(f"{what} has too many digits") from None
 
 
 def poly_from_machine(text: str) -> IntPolynomial:

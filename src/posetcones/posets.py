@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     WidthExceeded,
 )
-from .polynomials import IntPolynomial, slot_width, unpack_slots
+from .polynomials import IntPolynomial, parse_int_list, slot_width, unpack_slots
 
 SIZE_GUARD = 64
 
@@ -96,14 +96,17 @@ def _bits(mask):
 
 def _cover_rows(down):
     """Upper cover rows from the down rows: bit j of row i is set iff j
-    covers i.  The elements j covers are the maxima of down[j], those below
-    no other element of down[j]."""
+    covers i, that is, iff i is a maximum of down[j].  The walk skips what
+    a visited down row holds, highest label first, so on a natural labeling
+    it visits only those maxima."""
     rows = [0] * len(down)
-    for j, below in enumerate(down):
+    for j, left in enumerate(down):
         deeper = 0
-        for k in _bits(below):
+        while left:
+            k = left.bit_length() - 1
             deeper |= down[k]
-        for i in _bits(below & ~deeper):
+            left &= ~(down[k] | 1 << k)
+        for i in _bits(down[j] & ~deeper):
             rows[i] |= 1 << j
     return rows
 
@@ -504,22 +507,13 @@ def parse_poset(text: str) -> Poset:
         if tok[0] == "n":
             if n is not None:
                 raise ParseError(f"line {lineno}: duplicate n line")
-            if len(tok) != 2 or not tok[1].isdecimal():
+            (n,) = _line_ints(tok, lineno, "count", "n <count>")
+            if n < 0:
                 raise ParseError(f"line {lineno}: expected `n <count>`")
-            try:
-                n = int(tok[1])
-            except ValueError:  # past the interpreter's digit limit
-                raise ParseError(f"line {lineno}: count has too many digits") from None
         elif tok[0] == "rel":
             if n is None:
                 raise ParseError(f"line {lineno}: rel before n")
-            try:
-                i, j = int(tok[1]), int(tok[2])
-            except (IndexError, ValueError):
-                raise ParseError(f"line {lineno}: expected `rel <i> <j>`") from None
-            if len(tok) != 3:
-                raise ParseError(f"line {lineno}: expected `rel <i> <j>`")
-            pairs.append((i, j))
+            pairs.append(tuple(_line_ints(tok, lineno, "label", "rel <i> <j>")))
         else:
             raise ParseError(f"line {lineno}: unknown directive {tok[0]!r}")
     if n is None:
@@ -530,6 +524,18 @@ def parse_poset(text: str) -> Poset:
         return poset_from_relations(n, pairs)
     except (CycleDetected, IndexOutOfRange) as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _line_ints(tok, lineno, what, usage):
+    """One integer per token after a line's directive, as many as `usage`
+    has fields; tokens are read one by one, so `rel 1,2` is no pair."""
+    try:
+        vals = [parse_int_list(t, what) for t in tok[1:]]
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+    if len(tok) != len(usage.split()) or any(len(v) != 1 for v in vals):
+        raise ParseError(f"line {lineno}: expected `{usage}`")
+    return [v for (v,) in vals]
 
 
 def poset_to_text(P: Poset) -> str:

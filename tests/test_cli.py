@@ -553,21 +553,34 @@ def test_roots_empty_field_exit_2(coeffs):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["bij", "psi", "--word", "1,,2,3,4"],
-    ["bij", "psi", "--word", ",3,1,2,4"],
-    ["bij", "omega", "--word", "3,1,4,2,"],
-    ["bij", "omega", "--word", "3,1,4,2", "--p1", "1,2,", "--p2", "3,4"],
-    ["bij", "omega-inv", "--partition", "1,3|2,4", "--p1", "1,2", "--p2", "3, ,4"],
-    ["foata", "phi", "--support", "2,,3,2,3", "--word", "3,8,9,6,1,4,2,7,10,5"],
-    ["foata", "phi", "--support", "2,3,2,3", "--word", "3,8,9,6,1,4,2,7,10,5,"],
-], ids=["psi-inner", "psi-leading", "omega-trailing", "p1", "p2", "support", "foata-word"])
-def test_label_list_empty_field_exit_2(capsys, tmp_path, argv):
+@pytest.mark.parametrize("argv, what", [
+    (["bij", "psi", "--word", "1,,2,3,4"], "label list"),
+    (["bij", "psi", "--word", ",3,1,2,4"], "label list"),
+    (["bij", "omega", "--word", "3,1,4,2,"], "label list"),
+    (["bij", "omega", "--word", "3,1,4,2", "--p1", "1,2,", "--p2", "3,4"], "label list"),
+    (["bij", "omega-inv", "--partition", "1,3|2,4", "--p1", "1,2", "--p2", "3, ,4"],
+     "label list"),
+    (["foata", "phi", "--support", "2,,3,2,3", "--word", "3,8,9,6,1,4,2,7,10,5"],
+     "label list"),
+    (["foata", "phi", "--support", "2,3,2,3", "--word", "3,8,9,6,1,4,2,7,10,5,"],
+     "label list"),
+    (["bij", "phi", "--perm", "1,,3,2,4"], "one-line permutation"),
+    (["bij", "phi", "--perm", "[1,,3,2,4]"], "one-line permutation"),
+    (["bij", "phi", "--perm", "(1,3,)(2)(4)"], "cycle"),
+    (["bij", "omega-inv", "--partition", "1,,3|2|4"], "block"),
+    (["foata", "decompose", "1,,1,2;2,1,1"], "top row"),
+    (["foata", "decompose", "1,1,2;2,1,,1"], "bottom row"),
+    (["foata", "fcyc", "2,1,1,"], "word"),
+    (["foata", "intercalate", "1;1", "2,;2"], "top row"),
+], ids=["psi-inner", "psi-leading", "omega-trailing", "p1", "p2", "support", "foata-word",
+        "perm-one-line", "perm-bracketed", "perm-cycle", "partition", "array-top",
+        "array-bottom", "array-word", "intercalate"])
+def test_label_list_empty_field_exit_2(capsys, tmp_path, argv, what):
     if argv[0] == "bij":
         argv = argv[:2] + ["--poset", poset_file(tmp_path, EX_212)] + argv[2:]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: empty field in label list")
+    assert err.startswith(f"error: empty field in {what} ")
 
 
 @pytest.mark.parametrize("coeffs", ["", " ", "\t"])

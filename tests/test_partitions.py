@@ -78,6 +78,8 @@ def test_partition_text_round_trip():
     assert partition_to_text(pi) == "1,3|2,4"
     assert parse_partition("1,3|2,4") == pi
     assert parse_partition(" 1 , 3 | 2 , 4 ", n=4) == pi
+    # blocks read integers as every label list does: spaces or commas
+    assert parse_partition("1 3|2|4") == parse_partition("1,3|2|4")
     assert parse_partition("2,4|3,1") == pi
     with pytest.raises(ParseError):
         parse_partition("1,3|2", n=4)
