@@ -181,7 +181,7 @@ def _parse_support(text):
 def cmd_foata(args):
     if args.variant in ("decompose", "fcyc"):
         support = _parse_support(args.support) if args.support else None
-        sigma = parse_multiset_perm(args.arrays[0], support=support)
+        sigma = parse_multiset_perm(args.array, support=support)
     elif args.variant in ("phi", "phi-inv"):  # the chain union on sum(a) points
         a = _parse_support(args.support)
         if sum(a) > SIZE_GUARD:
@@ -193,7 +193,7 @@ def cmd_foata(args):
         if not args.machine:
             print(f"fcyc: {len(factors)}")
     elif args.variant == "intercalate":
-        rho, tau = (parse_multiset_perm(x) for x in args.arrays)
+        rho, tau = parse_multiset_perm(args.rho), parse_multiset_perm(args.tau)
         print(multiset_perm_to_text(intercalation(rho, tau)))
     elif args.variant == "fcyc":
         print(fcyc(sigma))
@@ -210,11 +210,6 @@ def cmd_foata(args):
 
 
 def cmd_genfun(args):
-    if args.variant in ("rhs", "verify"):
-        if args.ell < 0:
-            raise ParseError("--ell must be nonnegative")
-        if args.degree < 0:
-            raise ParseError("--degree must be nonnegative")
     if args.variant == "rhs":
         rhs = chains_gf_rhs(args.ell, args.degree)
         for exps in sorted(rhs.terms):
@@ -236,8 +231,6 @@ def cmd_genfun(args):
             else:
                 print(f"ALL MATCH ({len(report)} coefficients)")
         return 4 if bad else 0
-    if args.n < 0:
-        raise ParseError("--n must be nonnegative")
     poly = whitney.poincare_via_lrmax(antichain(args.n))
     ok = whitney.stirling_row_matches(poly, args.n)
     print(_poly_text(poly, args.machine))
@@ -247,8 +240,6 @@ def cmd_genfun(args):
 
 
 def cmd_table(args):
-    if args.n_max < 2:
-        raise ParseError("--n-max must be at least 2")
     if args.n_max > 8:
         print("warning: rows beyond n=8 grow quickly", file=sys.stderr)
     for n in range(2, args.n_max + 1):
@@ -271,10 +262,6 @@ def cmd_roots(args):
 
 
 def cmd_selfcheck(args):
-    if args.n_max < 1:
-        raise ParseError("--n-max must be at least 1")
-    if args.trials < 0:
-        raise ParseError("--trials must be at least 0")
     rng = random.Random(args.seed)
     probs = [round(0.1 * k, 1) for k in range(1, 10)]
     fails = []
@@ -351,6 +338,22 @@ def cmd_selfcheck(args):
 
 # -- parser ----------------------------------------------------------------------
 
+def _integer(low=None):
+    """argparse `type=` for one integer in `parse_int_list`'s grammar, at
+    least `low` when given; a refusal is argparse's usage error, exit 2."""
+    def read(text):
+        try:
+            vals = parse_int_list(text, "integer")
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if len(vals) != 1:
+            raise argparse.ArgumentTypeError(f"expected one integer, got {text!r}")
+        if low is not None and vals[0] < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return vals[0]
+    return read
+
+
 def build_parser():
     machine = argparse.ArgumentParser(add_help=False)
     machine.add_argument("--machine", action="store_true",
@@ -367,7 +370,7 @@ def build_parser():
     p.add_argument("poset", help="poset file, or - for stdin")
     p.add_argument("--method", default="auto",
                    choices=["auto", "transverse", "lrmax", "foata", "width2"])
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_integer(), default=1,
                    help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_poin)
 
@@ -381,47 +384,64 @@ def build_parser():
     p.set_defaults(func=cmd_transverse)
 
     p = sub.add_parser("bij", help="cycle and descent bijections")
-    p.add_argument("variant", choices=["phi", "psi", "omega", "omega-inv"])
-    p.add_argument("--poset", required=True)
-    p.add_argument("--perm", help="permutation, cycles or one-line")
-    p.add_argument("--word", help="linear extension, comma separated")
-    p.add_argument("--partition", help="set partition, 1,4|2|3 form")
-    p.add_argument("--p1", help="explicit chain 1 labels")
-    p.add_argument("--p2", help="explicit chain 2 labels")
-    p.add_argument("--implicit-fixed", action="store_true",
+    p.set_defaults(func=cmd_bij)
+    variants = p.add_subparsers(dest="variant", required=True)
+    poset = argparse.ArgumentParser(add_help=False)
+    poset.add_argument("--poset", required=True)
+    chains = argparse.ArgumentParser(add_help=False, parents=[poset])
+    chains.add_argument("--p1", help="explicit chain 1 labels")
+    chains.add_argument("--p2", help="explicit chain 2 labels")
+    v = variants.add_parser("phi", parents=[poset], help="permutation to extension")
+    v.add_argument("--perm", required=True, help="permutation, cycles or one-line")
+    v.add_argument("--implicit-fixed", action="store_true",
                    help="labels missing from cycles are fixed points")
-    p.set_defaults(func=_checked_bij)
+    v = variants.add_parser("psi", parents=[poset], help="extension to permutation")
+    v.add_argument("--word", required=True, help="linear extension, comma separated")
+    v = variants.add_parser("omega", parents=[chains], help="extension to width-2 partition")
+    v.add_argument("--word", required=True, help="linear extension, comma separated")
+    v = variants.add_parser("omega-inv", parents=[chains], help="partition to extension")
+    v.add_argument("--partition", required=True, help="set partition, 1,4|2|3 form")
 
-    p = sub.add_parser("foata", parents=[machine],
-                       help="multiset permutation factorizations")
-    p.add_argument("variant",
-                   choices=["decompose", "intercalate", "fcyc", "phi", "phi-inv"])
-    p.add_argument("arrays", nargs="*",
-                   help="two-line array top;bottom, or word; two for intercalate")
-    p.add_argument("--support", help="chain multiplicities, comma separated")
-    p.add_argument("--word", help="linear extension of the chains")
-    p.add_argument("--perm", help="permutation for phi-inv")
-    p.add_argument("--implicit-fixed", action="store_true")
-    p.set_defaults(func=_checked_foata)
+    p = sub.add_parser("foata", help="multiset permutation factorizations")
+    p.set_defaults(func=cmd_foata)
+    variants = p.add_subparsers(dest="variant", required=True)
+    array = argparse.ArgumentParser(add_help=False)
+    array.add_argument("array", help="two-line array top;bottom, or word")
+    array.add_argument("--support", help="chain multiplicities, comma separated")
+    variants.add_parser("decompose", parents=[array, machine], help="prime factors")
+    variants.add_parser("fcyc", parents=[array], help="number of prime factors")
+    v = variants.add_parser("intercalate", help="intercalation product of two arrays")
+    v.add_argument("rho", help="two-line array top;bottom, or word")
+    v.add_argument("tau", help="two-line array top;bottom, or word")
+    v = variants.add_parser("phi", help="chain-union extension to permutation")
+    v.add_argument("--support", required=True, help="chain multiplicities, comma separated")
+    v.add_argument("--word", required=True, help="linear extension of the chains")
+    v = variants.add_parser("phi-inv", help="permutation to chain-union extension")
+    v.add_argument("--support", required=True, help="chain multiplicities, comma separated")
+    v.add_argument("--perm", required=True, help="permutation, cycles or one-line")
+    v.add_argument("--implicit-fixed", action="store_true")
 
-    p = sub.add_parser("genfun", parents=[machine],
-                       help="generating function coefficients and checks")
-    p.add_argument("variant", choices=["rhs", "verify", "stirling"])
-    p.add_argument("--ell", type=int, default=2, help="number of variables")
-    p.add_argument("--degree", type=int, default=5, help="total degree cap")
-    p.add_argument("--n", type=int, default=6, help="row for stirling")
+    p = sub.add_parser("genfun", help="generating function coefficients and checks")
     p.set_defaults(func=cmd_genfun)
+    variants = p.add_subparsers(dest="variant", required=True)
+    series = argparse.ArgumentParser(add_help=False, parents=[machine])
+    series.add_argument("--ell", type=_integer(0), default=2, help="number of variables")
+    series.add_argument("--degree", type=_integer(0), default=5, help="total degree cap")
+    variants.add_parser("rhs", parents=[series], help="series coefficients")
+    variants.add_parser("verify", parents=[series], help="coefficients against the routes")
+    v = variants.add_parser("stirling", parents=[machine], help="antichain Stirling row")
+    v.add_argument("--n", type=_integer(0), default=6, help="row for stirling")
 
     p = sub.add_parser("table", parents=[machine],
                        help="cone polynomials of the 3 x n grid")
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=_integer(2), default=8)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("selfcheck", parents=[machine],
                        help="randomized cross-method invariants")
-    p.add_argument("--n-max", type=int, default=7)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42, help="seed for the random posets")
+    p.add_argument("--n-max", type=_integer(1), default=7)
+    p.add_argument("--trials", type=_integer(0), default=200)
+    p.add_argument("--seed", type=_integer(), default=42, help="seed for the random posets")
     p.set_defaults(func=cmd_selfcheck)
 
     p = sub.add_parser("roots", parents=[machine],
@@ -434,42 +454,8 @@ def build_parser():
     return parser
 
 
-def _checked_bij(args):
-    need = {
-        "phi": ["perm"],
-        "psi": ["word"],
-        "omega": ["word"],
-        "omega-inv": ["partition"],
-    }[args.variant]
-    for field in need:
-        if getattr(args, field) is None:
-            raise ParseError(f"bij {args.variant} requires --{field}")
-    return cmd_bij(args)
-
-
-def _checked_foata(args):
-    want = {"intercalate": 2, "decompose": 1, "fcyc": 1}.get(args.variant, 0)
-    if len(args.arrays) > want:
-        raise ParseError(f"foata {args.variant} takes {want} array argument(s), "
-                         f"got {len(args.arrays)}")
-    if len(args.arrays) < want:
-        raise ParseError("foata intercalate requires two arrays" if want == 2
-                         else f"foata {args.variant} requires an array argument")
-    need = {"phi": "word", "phi-inv": "perm"}.get(args.variant)
-    if need and (args.support is None or getattr(args, need) is None):
-        raise ParseError(f"foata {args.variant} requires --support and --{need}")
-    return cmd_foata(args)
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    # argparse fills `foata`'s arrays only up to its first option and hands
-    # back the arrays after it, in order; anything else left over is an error
-    if extra and args.command == "foata" and not any(x.startswith("-") for x in extra):
-        args.arrays += extra
-    elif extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -30,6 +30,14 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def usage_error(capsys, *argv):
+    """stdout and stderr of an argv that argparse refuses with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr()
+
+
 def poset_file(tmp_path, text, name="poset.txt"):
     path = tmp_path / name
     path.write_text(text)
@@ -42,7 +50,8 @@ def run_process(*argv, stdin=b""):
     env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8:strict")
     proc = subprocess.run([sys.executable, "-m", "posetcones", *argv],
                           input=stdin, capture_output=True, env=env)
-    return proc.returncode, proc.stderr.decode("utf-8", "replace")
+    return (proc.returncode, proc.stdout.decode("utf-8", "replace"),
+            proc.stderr.decode("utf-8", "replace"))
 
 
 def test_poin_machine(tmp_path, capsys):
@@ -148,57 +157,115 @@ def test_count_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
 
 def test_superscript_count_is_a_parse_error(tmp_path):
     f = poset_file(tmp_path, "n \u00b2\n")
-    code, err = run_process("poin", f)
+    code, _, err = run_process("poin", f)
     assert code == 2 and "Traceback" not in err
 
 
 def test_invalid_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"n 2\nrel 1 \xff\n")
-    code, err = run_process("poin", str(path))
+    code, _, err = run_process("poin", str(path))
     assert code == 2 and "Traceback" not in err
-    code, err = run_process("poin", "-", stdin=path.read_bytes())
+    code, _, err = run_process("poin", "-", stdin=path.read_bytes())
     assert code == 2 and "Traceback" not in err
 
 
-# Each option sits only on the commands that read it: --machine on all but
-# bij, --seed on selfcheck, --workers (a no-op kept for callers) on poin.
+# Each option sits only on the (command, variant) that reads it: --machine
+# on every command but bij, and within foata on decompose alone; --seed on
+# selfcheck, --workers (a no-op kept for callers) on poin.
 CLI_OPTIONS = {
-    "poin": {"--machine", "--method", "--workers"},
-    "linext": {"--machine"},
-    "transverse": {"--machine"},
-    "bij": {"--poset", "--perm", "--word", "--partition", "--p1", "--p2",
-            "--implicit-fixed"},
-    "foata": {"--machine", "--support", "--word", "--perm", "--implicit-fixed"},
-    "genfun": {"--machine", "--ell", "--degree", "--n"},
-    "table": {"--machine", "--n-max"},
-    "selfcheck": {"--machine", "--n-max", "--trials", "--seed"},
-    "roots": {"--machine"},
+    ("poin", None): {"--machine", "--method", "--workers"},
+    ("linext", None): {"--machine"},
+    ("transverse", None): {"--machine"},
+    ("bij", "phi"): {"--poset", "--perm", "--implicit-fixed"},
+    ("bij", "psi"): {"--poset", "--word"},
+    ("bij", "omega"): {"--poset", "--p1", "--p2", "--word"},
+    ("bij", "omega-inv"): {"--poset", "--p1", "--p2", "--partition"},
+    ("foata", "decompose"): {"--support", "--machine"},
+    ("foata", "fcyc"): {"--support"},
+    ("foata", "intercalate"): set(),
+    ("foata", "phi"): {"--support", "--word"},
+    ("foata", "phi-inv"): {"--support", "--perm", "--implicit-fixed"},
+    ("genfun", "rhs"): {"--ell", "--degree", "--machine"},
+    ("genfun", "verify"): {"--ell", "--degree", "--machine"},
+    ("genfun", "stirling"): {"--n", "--machine"},
+    ("table", None): {"--machine", "--n-max"},
+    ("selfcheck", None): {"--machine", "--n-max", "--trials", "--seed"},
+    ("roots", None): {"--machine"},
 }
 
 
+def _subparsers(parser):
+    """name -> subparser of `parser`'s subcommand action, or {} without one."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def variant_parsers(parser):
+    """(command, variant) -> its parser, variant None for a command without
+    variants."""
+    return {(name, variant): v
+            for name, p in _subparsers(parser).items()
+            for variant, v in (_subparsers(p) or {None: p}).items()}
+
+
+def declared_options(parser):
+    """(command, variant) -> the options declared there."""
+    return {key: {opt for action in v._actions for opt in action.option_strings
+                  if opt not in ("-h", "--help")}
+            for key, v in variant_parsers(parser).items()}
+
+
 def test_cli_surface_declares_each_option_where_it_is_read():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    got = {
-        name: {opt for action in p._actions for opt in action.option_strings
-               if opt not in ("-h", "--help")}
-        for name, p in sub.choices.items()
-    }
+    got = declared_options(build_parser())
     assert got == CLI_OPTIONS
     shared = sum(len(opts & {"--machine", "--seed", "--workers"}) for opts in got.values())
-    assert shared == 10
+    assert shared == 12
+    pairs = sum(len(opts) for (name, _), opts in got.items()
+                if name in ("bij", "foata", "genfun"))
+    assert pairs == 29
+
+
+def test_cli_surface_walk_sees_a_planted_option():
+    parser = build_parser()
+    variant_parsers(parser)["foata", "intercalate"].add_argument("--planted")
+    got = declared_options(parser)
+    assert got != CLI_OPTIONS
+    assert got[("foata", "intercalate")] == {"--planted"}
 
 
 @pytest.mark.parametrize("argv, unknown", [
     (["bij", "psi", "--poset", "-", "--word", "1,2", "--machine"], "--machine"),
     (["table", "--seed", "1"], "--seed 1"),
     (["selfcheck", "--workers", "2"], "--workers 2"),
+    (["bij", "psi", "--poset", "-", "--word", "3,1,2,4", "--p1", "1", "--partition", "1|2",
+      "--perm", "(1)"], "--p1 1 --partition 1|2 --perm (1)"),
+    (["foata", "intercalate", "1,2;2,1", "3;3", "--machine"], "--machine"),
+    (["foata", "phi", "--support", "2,3,2,3", "--word", "3,8,9,6,1,4,2,7,10,5", "--machine",
+      "--implicit-fixed"], "--machine --implicit-fixed"),
+    (["foata", "fcyc", "2,1,1", "--word", "9"], "--word 9"),
+    (["genfun", "stirling", "--n", "3", "--ell", "5", "--degree", "9"], "--ell 5 --degree 9"),
 ])
 def test_options_on_commands_that_do_not_read_them_exit_2(argv, unknown):
-    code, err = run_process(*argv, stdin=b"n 2\n")
-    assert code == 2 and "Traceback" not in err
+    code, out, err = run_process(*argv, stdin=b"n 2\n")
+    assert (code, out) == (2, "") and "Traceback" not in err
     assert err.endswith(f"error: unrecognized arguments: {unknown}\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["table", "--n-max", "1_0", "--machine"], "argument --n-max: bad integer '1_0'"),
+    (["genfun", "stirling", "--n", "\u0661"], "argument --n: bad integer '\u0661'"),
+    (["selfcheck", "--seed", "4_2"], "argument --seed: bad integer '4_2'"),
+    (["poin", "-", "--workers", "\u0661"], "argument --workers: bad integer '\u0661'"),
+    (["genfun", "rhs", "--ell", "\u00b2"], "argument --ell: bad integer '\u00b2'"),
+    (["selfcheck", "--n-max", "3,4"], "argument --n-max: expected one integer, got '3,4'"),
+    (["genfun", "verify", "--degree", ""], "argument --degree: expected one integer, got ''"),
+], ids=["underscore", "arabic-indic", "seed", "workers", "superscript", "list", "empty"])
+def test_numeric_options_take_one_integer_of_the_list_grammar(argv, want):
+    # argparse's int() took `1_0` as 10 and any Unicode decimal digit
+    code, out, err = run_process(*argv, stdin=b"n 2\n")
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err.endswith(f"error: {want}\n")
 
 
 def test_poin_still_accepts_workers(tmp_path, capsys):
@@ -212,7 +279,7 @@ def test_poin_still_accepts_workers(tmp_path, capsys):
 
 
 def test_poin_past_the_size_guard_exit_2(tmp_path):
-    code, err = run_process("poin", poset_file(tmp_path, "n 65\n"))
+    code, _, err = run_process("poin", poset_file(tmp_path, "n 65\n"))
     assert (code, err) == (2, "error: n=65 exceeds the size guard 64\n")
 
 
@@ -266,23 +333,23 @@ def test_foata_phi_at_the_size_guard(capsys):
 
 
 def test_genfun_negative_degree_exit_2():
-    code, err = run_process("genfun", "verify", "--degree", "-1")
+    code, _, err = run_process("genfun", "verify", "--degree", "-1")
     assert code == 2 and "Traceback" not in err
 
 
 def test_genfun_stirling_negative_n_exit_2():
-    code, err = run_process("genfun", "stirling", "--n", "-1")
-    assert code == 2 and "Traceback" not in err
-    assert "--n must be nonnegative" in err
+    code, out, err = run_process("genfun", "stirling", "--n", "-1")
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err.endswith("error: argument --n: must be at least 0\n")
 
 
 def test_selfcheck_n_max_zero_exit_2():
-    code, err = run_process("selfcheck", "--n-max", "0")
+    code, _, err = run_process("selfcheck", "--n-max", "0")
     assert code == 2 and "Traceback" not in err
 
 
 def test_selfcheck_negative_trials_exit_2():
-    code, err = run_process("selfcheck", "--trials", "-1")
+    code, _, err = run_process("selfcheck", "--trials", "-1")
     assert code == 2 and "Traceback" not in err
     assert "--trials" in err
 
@@ -383,8 +450,9 @@ def test_bij_omega_and_inverse(tmp_path, capsys):
 
 def test_bij_requires_its_argument(tmp_path, capsys):
     f = poset_file(tmp_path, EX_212)
-    code, _, err = run(capsys, "bij", "phi", "--poset", f)
-    assert code == 2 and "--perm" in err
+    out, err = usage_error(capsys, "bij", "phi", "--poset", f)
+    assert out == ""
+    assert err.endswith("error: the following arguments are required: --perm\n")
 
 
 def test_bij_rejects_bad_inputs(tmp_path, capsys):
@@ -430,7 +498,7 @@ def test_foata_cli_surface(capsys):
 @pytest.mark.parametrize("variant, arrays, options", [
     ("decompose", ["1,2;2,1"], ["--support", "1,1"]),
     ("decompose", ["2,4,4,3,1,2,1,3,4,2"], ["--support", "2,3,2,3", "--machine"]),
-    ("intercalate", ["1,2;2,1", "3;3"], ["--machine"]),
+    ("decompose", ["1,2;2,1"], ["--machine", "--support", "1,1"]),
     ("fcyc", ["2,1,1"], ["--support", "2,1"]),
 ])
 def test_foata_arrays_may_follow_options(capsys, variant, arrays, options):
@@ -442,8 +510,9 @@ def test_foata_arrays_may_follow_options(capsys, variant, arrays, options):
 
 @pytest.mark.parametrize("argv, extra", [
     (["decompose", "1,2;2,1", "--bogus"], "--bogus"),
-    (["decompose", "--bogus", "1,2;2,1"], "--bogus 1,2;2,1"),
+    (["decompose", "--bogus", "1,2;2,1"], "--bogus"),
     (["fcyc", "1,2;2,1", "-x"], "-x"),
+    (["decompose", "1,2;2,1", "--bogus", "3;3"], "--bogus 3;3"),
 ])
 def test_foata_unknown_option_is_still_unrecognized(capsys, argv, extra):
     with pytest.raises(SystemExit) as exc:
@@ -453,12 +522,15 @@ def test_foata_unknown_option_is_still_unrecognized(capsys, argv, extra):
 
 
 def test_foata_argument_checks(capsys):
-    code, _, err = run(capsys, "foata", "decompose")
-    assert code == 2
-    code, _, err = run(capsys, "foata", "intercalate", "1;1")
-    assert code == 2
-    code, _, err = run(capsys, "foata", "phi", "--support", "2,2")
-    assert code == 2
+    for argv, missing in [
+        (["decompose"], "array"),
+        (["intercalate", "1;1"], "tau"),
+        (["phi", "--support", "2,2"], "--word"),
+        (["phi-inv", "--perm", "(1)"], "--support"),
+    ]:
+        out, err = usage_error(capsys, "foata", *argv)
+        assert out == ""
+        assert err.endswith(f"error: the following arguments are required: {missing}\n")
     code, _, _ = run(capsys, "foata", "fcyc", "1,2;2,1", "--support", "3,3")
     assert code == 3  # support disagrees with the array
 
@@ -530,8 +602,9 @@ def test_table_small_rows(capsys):
     ]
     code, out, _ = run(capsys, "table", "--n-max", "2")
     assert (code, out) == (0, "n=2: 1 + 3*t + t^2\n")
-    code, _, _ = run(capsys, "table", "--n-max", "1")
-    assert code == 2
+    out, err = usage_error(capsys, "table", "--n-max", "1")
+    assert out == ""
+    assert err.endswith("error: argument --n-max: must be at least 2\n")
 
 
 def test_roots(capsys):
@@ -547,7 +620,7 @@ def test_roots(capsys):
 
 @pytest.mark.parametrize("coeffs", ["1,,2", ",1,2", "1,2,", "1, ,2"])
 def test_roots_empty_field_exit_2(coeffs):
-    code, err = run_process("roots", coeffs)
+    code, _, err = run_process("roots", coeffs)
     assert code == 2
     assert err.startswith("error: empty field in coefficient list")
     assert "Traceback" not in err
@@ -585,7 +658,7 @@ def test_label_list_empty_field_exit_2(capsys, tmp_path, argv, what):
 
 @pytest.mark.parametrize("coeffs", ["", " ", "\t"])
 def test_roots_no_coefficient_exit_2(coeffs):
-    code, err = run_process("roots", coeffs)
+    code, _, err = run_process("roots", coeffs)
     assert code == 2
     assert err.startswith("error: no coefficient in")
     assert "Traceback" not in err
@@ -712,6 +785,8 @@ def test_foata_huge_letters_run_in_a_fresh_process():
     ["phi-inv", "1;1", "--support", "1,1", "--perm", "(1)(2)"],
 ])
 def test_foata_extra_positionals_exit_2(capsys, argv):
-    code, out, err = run(capsys, "foata", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: foata {argv[0]} takes ")
+    extra = {"intercalate": "3;3", "decompose": "2;2", "fcyc": "1;1 2;2",
+             "phi": "1;1", "phi-inv": "1;1"}[argv[0]]
+    out, err = usage_error(capsys, "foata", *argv)
+    assert out == ""
+    assert err.endswith(f"error: unrecognized arguments: {extra}\n")
