@@ -354,19 +354,14 @@ def _integer(low=None):
     return read
 
 
-def build_parser():
+def _machine_parent():
     machine = argparse.ArgumentParser(add_help=False)
     machine.add_argument("--machine", action="store_true",
                          help="bare machine-readable output")
+    return machine
 
-    parser = argparse.ArgumentParser(
-        prog="posetcones",
-        description="Cone polynomials of finite posets and their bijections.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("poin", parents=[machine],
-                       help="cone polynomial of a poset file")
+def _poin_options(p):
     p.add_argument("poset", help="poset file, or - for stdin")
     p.add_argument("--method", default="auto",
                    choices=["auto", "transverse", "lrmax", "foata", "width2"])
@@ -374,16 +369,18 @@ def build_parser():
                    help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_poin)
 
-    p = sub.add_parser("linext", parents=[machine], help="list linear extensions")
+
+def _linext_options(p):
     p.add_argument("poset")
     p.set_defaults(func=cmd_linext)
 
-    p = sub.add_parser("transverse", parents=[machine],
-                       help="list transverse partitions with weights")
+
+def _transverse_options(p):
     p.add_argument("poset")
     p.set_defaults(func=cmd_transverse)
 
-    p = sub.add_parser("bij", help="cycle and descent bijections")
+
+def _bij_options(p):
     p.set_defaults(func=cmd_bij)
     variants = p.add_subparsers(dest="variant", required=True)
     poset = argparse.ArgumentParser(add_help=False)
@@ -402,7 +399,9 @@ def build_parser():
     v = variants.add_parser("omega-inv", parents=[chains], help="partition to extension")
     v.add_argument("--partition", required=True, help="set partition, 1,4|2|3 form")
 
-    p = sub.add_parser("foata", help="multiset permutation factorizations")
+
+def _foata_options(p):
+    machine = _machine_parent()
     p.set_defaults(func=cmd_foata)
     variants = p.add_subparsers(dest="variant", required=True)
     array = argparse.ArgumentParser(add_help=False)
@@ -421,7 +420,9 @@ def build_parser():
     v.add_argument("--perm", required=True, help="permutation, cycles or one-line")
     v.add_argument("--implicit-fixed", action="store_true")
 
-    p = sub.add_parser("genfun", help="generating function coefficients and checks")
+
+def _genfun_options(p):
+    machine = _machine_parent()
     p.set_defaults(func=cmd_genfun)
     variants = p.add_subparsers(dest="variant", required=True)
     series = argparse.ArgumentParser(add_help=False, parents=[machine])
@@ -432,30 +433,61 @@ def build_parser():
     v = variants.add_parser("stirling", parents=[machine], help="antichain Stirling row")
     v.add_argument("--n", type=_integer(0), default=6, help="row for stirling")
 
-    p = sub.add_parser("table", parents=[machine],
-                       help="cone polynomials of the 3 x n grid")
+
+def _table_options(p):
     p.add_argument("--n-max", type=_integer(2), default=8)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("selfcheck", parents=[machine],
-                       help="randomized cross-method invariants")
+
+def _selfcheck_options(p):
     p.add_argument("--n-max", type=_integer(1), default=7)
     p.add_argument("--trials", type=_integer(0), default=200)
     p.add_argument("--seed", type=_integer(), default=42, help="seed for the random posets")
     p.set_defaults(func=cmd_selfcheck)
 
-    p = sub.add_parser("roots", parents=[machine],
-                       help="count distinct real roots of an integer polynomial")
+
+def _roots_options(p):
     p.add_argument("coeffs", help="ascending coefficients, space or comma separated; "
                                   "put -- before a list that starts with a minus sign, "
                                   "as in: roots -- -1,0,1")
     p.set_defaults(func=cmd_roots)
 
+
+# name -> (help, whether the command itself takes --machine, its options)
+COMMANDS = {
+    "poin": ("cone polynomial of a poset file", True, _poin_options),
+    "linext": ("list linear extensions", True, _linext_options),
+    "transverse": ("list transverse partitions with weights", True, _transverse_options),
+    "bij": ("cycle and descent bijections", False, _bij_options),
+    "foata": ("multiset permutation factorizations", False, _foata_options),
+    "genfun": ("generating function coefficients and checks", False, _genfun_options),
+    "table": ("cone polynomials of the 3 x n grid", True, _table_options),
+    "selfcheck": ("randomized cross-method invariants", True, _selfcheck_options),
+    "roots": ("count distinct real roots of an integer polynomial", True, _roots_options),
+}
+
+
+def build_parser(command=None):
+    """The full parser tree, or, given a command's name, the tree with only
+    that command's options: every other command stays a bare entry, so the
+    top-level usage line still lists them all."""
+    parser = argparse.ArgumentParser(
+        prog="posetcones",
+        description="Cone polynomials of finite posets and their bijections.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, machine, options) in COMMANDS.items():
+        if command in (None, name):
+            options(sub.add_parser(name, parents=[_machine_parent()] if machine else [],
+                                   help=help_text))
+        else:
+            sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -6,35 +6,47 @@ directed cycle through distinct blocks).  Enumeration peels the partition by
 quotient levels: the blocks lying inside min(P) are exactly the removable
 ones, so choosing a partial partition of min(P), deleting it, and forbidding
 leftover-minima-only blocks at the next step visits each transverse partition
-once.  A state (alive, forbidden) of that recursion has a completion iff
+once.  A state (alive, forbidden) of that walk has a completion iff
 nothing is alive or some minimum is free: taking every minimum, each
 forbidden one in a block with a free one, leaves nothing forbidden.  So a
 layer S is worth taking iff S is all of min(P) or S holds every minimum below
 some element of the next level, and the enumeration expands no other.
 
-The weighted count behind the cone polynomial needs no blocks at all.  A
-layer that takes a free and f forbidden minima contributes, summed over its
-partitions whose blocks each hold a free label and weighted by
-prod (|B|-1)! t^(|B|-1),
+The weighted count behind the cone polynomial needs no blocks at all.
+Over the up-sets A of P, with f(empty) = 1,
 
-    W(a, f) = t^f * a^(f) * sum_k c(a, k) t^(a-k),
+    f(A) = sum over nonempty S within min A of w_|S| * f(A - S),
+    w_k = prod_{j=1}^{k-1} (j t - 1),
 
-with a^(f) = a (a+1) ... (a+f-1) the rising factorial and c(a, k) the
-unsigned Stirling numbers of the first kind.  The weight (|B|-1)! counts the
-cyclic orders of a block, so the sum runs over permutations of the layer
-whose cycles each hold a free label, with t marking size minus cycle count.
-Permutations of the free labels give the Stirling sum; each forbidden label
-is then inserted after an existing element in cycle notation, with a, a+1,
-..., a+f-1 choices in turn, which adds one to the size but no cycle.
+and f(P) = Poin(P, t).  A block of a transverse partition of A is minimal in
+the quotient exactly when it lies in min A.  Summing over the nonempty sets
+T of minimal blocks with sign (-1)^(|T|+1), which totals 1, each T covers
+some S within min A and leaves a transverse partition of A - S; the
+partitions of S, each weighted (-1)^(#blocks-1) prod (|B|-1)! t^(|B|-1),
+sum to w_|S|.  On an antichain A the recursion closes to
+f(A) = prod_{j<|A|} (1 + j t).
 
-Both recursions remove a layer of minima from an up-set alive, and a
-minimum of what remains that was not a minimum before must cover a removed
-element.  So each finds a state's minima from its parent's minima and the
-cover rows of the layer it took, never by scanning the alive set.
+Unrolled, Poin(P) sums prod_i w_{|f^-1(i)|} over the strictly
+order-preserving surjections f: P -> [m].  That is phi(Gamma(P)), where
+Gamma(P) is Stanley's strict P-partition enumerator in the monomial
+quasisymmetric basis and phi(M_alpha) = prod_i w_{alpha_i}.  A chain gives
+M_{1^l} and a disjoint union the quasi-shuffle product of the parts, so
+the chain-union series of `genfun` is this product for chains, the
+recursion above is phi taken one layer at a time, and the descending-runs
+formula over linear extensions (Stanley's fundamental lemma) is phi of
+Gessel's basis: one theory.
 
-The DP keeps each coefficient vector as one nonnegative int, coefficient d
-in bits [d*w, (d+1)*w) with w from `polynomials.slot_width` (Kronecker
-substitution), so adding W(a, f) times a tail is one big-int multiply.
+The recursion keeps each f(A) as one int, its value at t = 2^w with
+w = `polynomials.slot_width(n)` (Kronecker substitution), so a layer size's
+weight times the sum of its tails is one big-int multiply.  The weights have
+negative coefficients, but the arithmetic is exact and every f(A) has
+nonnegative coefficients summing to e(A) <= n! < 2^w, so its value holds
+coefficient d in bits [d*w, (d+1)*w) and `unpack_slots` reads it back.
+
+Both walks remove a layer of minima from an up-set, and a minimum of what
+remains that was not a minimum before must cover a removed element.  So
+each finds a state's minima from its parent's minima and the cover rows of
+the layer it took, never by scanning the alive set.
 
 Caller input is validated and library-built partitions are not:
 `SetPartition(...)` and `parse_partition` check every block, while
@@ -45,11 +57,10 @@ block, in increasing order, and ends only once every label is taken.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 
 from .errors import IndexOutOfRange, NotTransverse, ParseError
-from .polynomials import parse_int_list, slot_width, stirling_first_kind_row, unpack_slots
+from .polynomials import parse_int_list, slot_width, unpack_slots
 from .posets import SIZE_GUARD, Poset, _bits, _cover_rows, _min_mask, _minima_after
 
 
@@ -239,20 +250,22 @@ def _layer_choices(min_mask, forbidden, up=(), targets=0):
 def enumerate_transverse(P: Poset):
     """All partitions transverse to P, streamed without storing the family.
 
-    Level recursion: a block is removable iff it sits inside min(P); blocks
-    made only of minima left behind at the previous level can never become a
+    Level walk: a block is removable iff it sits inside min(P); blocks made
+    only of minima left behind at the previous level can never become a
     deeper level's block, so they are forbidden, which kills double counting.
 
     A state (alive, forbidden) has a completion iff alive is empty or some
     minimum is free: taking every minimum, each forbidden one in a block with
     a free one, leaves nothing forbidden.  `_layer_choices` keeps only the
-    layers that lead to such a state, so no branch of the recursion is dead.
+    layers that lead to such a state, so no branch of the walk is dead.
 
-    Each call carries the minima mm of alive; the targets (the minima of
+    Each state carries the minima mm of alive; the targets (the minima of
     alive - mm) and a child's minima come from mm and the covers of the
     removed minima (`posets._minima_after`).  A child's minima depend on
-    the layer set S alone, not on how S is split into blocks, so each call
-    computes them once per S.
+    the layer set S alone, not on how S is split into blocks, so each state
+    computes them once per S.  The walk is depth first on an explicit stack
+    of each level's choices, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
     n = P.n
     down = P._down
@@ -260,10 +273,8 @@ def enumerate_transverse(P: Poset):
     cover = _cover_rows(down)
     full = (1 << n) - 1
 
-    def rec(alive, forbidden, mm):
-        if not alive:
-            yield ()
-            return
+    def choices(alive, forbidden, mm):
+        """The layers of a state, each with the state it leaves."""
         targets = _minima_after(mm, mm, alive & ~mm, down, cover)
         minima = {}  # S -> minima of alive - S
         for s_mask, blocks in _layer_choices(mm, forbidden, up, targets):
@@ -271,87 +282,70 @@ def enumerate_transverse(P: Poset):
             after = minima.get(s_mask)
             if after is None:
                 after = minima[s_mask] = _minima_after(mm, s_mask, rest, down, cover)
-            for tail in rec(rest, mm & ~s_mask, after):
-                yield blocks + tail
+            yield blocks, rest, mm & ~s_mask, after
 
-    for blocks in rec(full, 0, _min_mask(down, full)):
-        yield SetPartition._built(n, blocks)
-
-
-@lru_cache(maxsize=None)
-def _layer_weight(a, f):
-    """W(a, f) = t^f * a^(f) * sum_k c(a, k) t^(a-k) as ascending coefficients:
-    the weighted count of partitions of a free and f forbidden labels in
-    which every block holds a free label (see the module docstring)."""
-    rising = factorial(a + f - 1) // factorial(a - 1)
-    row = stirling_first_kind_row(a)
-    return (0,) * f + tuple(rising * row[a - j] for j in range(a))
-
-
-@lru_cache(maxsize=None)
-def _packed_layer_weight(a, f, w):
-    """W(a, f) packed w bits per coefficient, as `transverse_poly_coeffs`
-    multiplies it into its memo values."""
-    return sum(c << (j * w) for j, c in enumerate(_layer_weight(a, f)))
+    stack = [choices(full, 0, _min_mask(down, full))]
+    layers = []  # the blocks taken on each level below the top of the stack
+    while stack:
+        step = next(stack[-1], None)
+        del layers[len(stack) - 1:]
+        if step is None:
+            stack.pop()
+            continue
+        blocks, rest, forbidden, after = step
+        layers.append(blocks)
+        if rest:
+            stack.append(choices(rest, forbidden, after))
+        else:
+            yield SetPartition._built(n, [b for layer in layers for b in layer])
 
 
 def transverse_poly_coeffs(P: Poset):
     """Coefficient list c with c[d] = sum of prod (|B|-1)! over transverse
-    partitions having n - d blocks.
+    partitions having n - d blocks, by the signed recursion of the module
+    docstring, memoized on the up-set alone.
 
-    Memoized on (alive, forbidden) masks, which is what makes large
-    chain-product posets feasible.  A layer's weight depends only on the
-    numbers a of free and f of forbidden minima it takes, so each layer
-    subset multiplies its tail by the closed form W(a, f) of the module
-    docstring and no partition is built.  A state whose minima are all
-    forbidden has no layer and contributes zero.  A child with rest == left
-    (only untaken minima remain, now forbidden, as on an antichain) is one on
-    sight and gets no call, no minima and no memo entry; other dead states
-    are memoized, since many layer choices lead to them.
-
-    Each call carries the minima of its alive set.  Taking the layer S
-    leaves alive - S, whose minima are the untaken minima plus the covers
-    of S whose down rows miss alive - S (`posets._minima_after`), since a
-    new minimum must cover a removed one.  A child is looked up in the memo
-    before the call, so a memo hit costs no call and no minima.
-
-    Memo values are packed ints (module docstring), w = slot_width(n).  No
-    slot carries: a state's coefficients are nonnegative and sum to its
-    |mu|-weighted count of restricted transverse partitions, at most the
-    linear extensions of the alive subposet (Zaslavsky), so at most n! < 2^w.
+    A state sums its children's values by layer size and multiplies each
+    size's sum once by w_k.  An antichain is one state: it gets
+    prod (1 + j t) on sight and takes no layer.  Each call carries the
+    minima of its up-set, and a child is looked up in the memo before it is
+    called, so a memo hit costs no call and no minima; a child's minima are
+    the untaken minima plus the covers of S whose down rows miss it
+    (`posets._minima_after`).  Values are packed at t = 2^w as the module
+    docstring says.
     """
     n = P.n
     down = P._down
     cover = _cover_rows(down)
     w = slot_width(n)
     full = (1 << n) - 1
-    memo = {(0, 0): 1}
+    weight = [0, 1]  # weight[k] = w_k at t = 2^w
+    free = [1, 1]    # free[k] = prod_{j<k} (1 + j t) at t = 2^w
+    for j in range(1, n):
+        weight.append(weight[-1] * ((j << w) - 1))
+        free.append(free[-1] * ((j << w) + 1))
+    memo = {0: 1}
 
-    def rec(alive, forbidden, mm):
-        free = mm & ~forbidden
-        forb = mm & forbidden
-        acc = 0
-        sa = free
-        while sa:
-            a = sa.bit_count()
-            sf = forb
-            while True:
-                s = sa | sf
+    def rec(alive, mm):
+        if mm == alive:
+            acc = free[alive.bit_count()]
+        else:
+            sums = [0] * (mm.bit_count() + 1)
+            s = mm
+            while s:
                 rest = alive & ~s
-                left = mm & ~s
-                tail = 0 if rest == left and rest else memo.get((rest, left))
+                tail = memo.get(rest)
                 if tail is None:
-                    tail = rec(rest, left, _minima_after(mm, s, rest, down, cover))
-                if tail:
-                    acc += _packed_layer_weight(a, sf.bit_count(), w) * tail
-                if not sf:
-                    break
-                sf = (sf - 1) & forb
-            sa = (sa - 1) & free
-        memo[alive, forbidden] = acc
+                    tail = rec(rest, _minima_after(mm, s, rest, down, cover))
+                sums[s.bit_count()] += tail
+                s = (s - 1) & mm
+            acc = 0
+            for k in range(1, len(sums)):
+                acc += weight[k] * sums[k]
+        memo[alive] = acc
         return acc
 
     try:
-        return unpack_slots(rec(full, 0, _min_mask(down, full)) if n else 1, w)
+        return unpack_slots(rec(full, _min_mask(down, full)), w)
     finally:
         del rec  # rec refers to itself: without this the memo outlives the call

@@ -182,10 +182,11 @@ def unpack_slots(x: int, w: int) -> list:
     """Coefficients of a nonnegative int that holds coefficient d in bits
     [d*w, (d+1)*w), lowest first, without trailing zeros.  The transverse
     DP of `partitions` and the extension sweep of `posets` keep their
-    values packed this way."""
+    values packed this way.  A negative x, which only a faulty signed sum
+    can give, unpacks to [] instead of shifting forever."""
     mask = (1 << w) - 1
     out = []
-    while x:
+    while x > 0:
         out.append(x & mask)
         x >>= w
     return out

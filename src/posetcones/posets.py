@@ -7,13 +7,16 @@ more than SIZE_GUARD = 64 points, the word-size cap a C implementation would
 have; the constructors take any size, since Python masks are not bounded.
 
 Linear extensions are counted by forward sweeps over the down-set masks, one
-level at a time (`count_linear_extensions`, and `_extension_dp` for the
-lrmax, width2 and Eulerian routes of `whitney`); nothing recurses.
+level at a time (`count_linear_extensions`, one sweep per comparability
+component, and `_extension_dp` for the lrmax, width2 and Eulerian routes of
+`whitney`), and listed by a backtracking walk on an explicit stack; nothing
+recurses.
 """
 
 from __future__ import annotations
 
 import random
+from math import comb
 
 from .errors import (
     CycleDetected,
@@ -255,26 +258,28 @@ def linear_extensions(P: Poset):
 
     Backtracks over the minima of the unplaced elements in increasing label
     order, carried down as in `count_linear_extensions` (`_minima_after`).
+    The backtracking runs on an explicit stack of (placed, its minima, the
+    minima not yet tried), one frame per placed letter, so its depth is not
+    bounded by the interpreter's recursion limit.
     """
     down = P._down
     cover = _cover_rows(down)
-    word = []
     full = (1 << P.n) - 1
-
-    def rec(placed, mins):
+    word = []  # one letter per frame below the top of the stack
+    mins = _min_mask(down, full)
+    stack = [(0, mins, mins)]
+    while stack:
+        placed, mins, untried = stack.pop()
+        del word[len(stack):]
         if placed == full:
             yield tuple(word)
-            return
-        x = mins
-        while x:
-            b = x & -x
-            x ^= b
+        elif untried:
+            b = untried & -untried
+            stack.append((placed, mins, untried ^ b))
             nxt = placed | b
             word.append(b.bit_length())
-            yield from rec(nxt, _minima_after(mins, b, ~nxt, down, cover))
-            word.pop()
-
-    yield from rec(0, _min_mask(down, full))
+            after = _minima_after(mins, b, ~nxt, down, cover)
+            stack.append((nxt, after, after))
 
 
 def is_linear_extension(P: Poset, word) -> bool:
@@ -291,8 +296,22 @@ def is_linear_extension(P: Poset, word) -> bool:
 
 
 def count_linear_extensions(P: Poset) -> int:
-    """Exact count by a forward sweep over the down-set masks: level k maps
-    each down-set `placed` of k elements to [minima of the unplaced, prefix
+    """Exact count, split over the comparability components P_1..P_r:
+    e(P) = multinomial(n; n_1, ..., n_r) * prod e(P_i), since a linear
+    extension of P is a shuffle of one of each component.  Each e(P_i)
+    comes from `_count_sweep`."""
+    total = 1
+    placed = 0
+    for part in _components(P):
+        size = part.bit_count()
+        placed += size
+        total *= comb(placed, size) * _count_sweep(P if size == P.n else _induced(P, part))
+    return total
+
+
+def _count_sweep(P: Poset) -> int:
+    """e(P) by a forward sweep over the down-set masks: level k maps each
+    down-set `placed` of k elements to [minima of the unplaced, prefix
     count e(P[placed])].  Placing a minimum b moves the count to placed | b,
     whose minima are derived once, when it first appears (`_minima_after`).
     Only two levels are held, and nothing recurses."""
@@ -315,6 +334,38 @@ def count_linear_extensions(P: Poset) -> int:
                     entry[1] += count
         level = next_level
     return level[(1 << n) - 1][1]
+
+
+def _components(P: Poset):
+    """Label masks of the comparability components, lowest label first."""
+    rows = [u | d for u, d in zip(P._up, P._down)]
+    left = (1 << P.n) - 1
+    while left:
+        part = frontier = left & -left
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= rows[v]
+            frontier = reach & ~part
+            part |= frontier
+        left &= ~part
+        yield part
+
+
+def _induced(P: Poset, mask) -> Poset:
+    """The subposet on the labels of `mask`, relabeled 1..k in increasing
+    label order.  Restricted rows of a closed relation stay closed."""
+    labels = list(_bits(mask))
+    index = {v: i for i, v in enumerate(labels)}
+
+    def restrict(row):
+        out = 0
+        for v in _bits(row & mask):
+            out |= 1 << index[v]
+        return out
+
+    return Poset(len(labels), [restrict(P._up[v]) for v in labels],
+                 [restrict(P._down[v]) for v in labels])
 
 
 def _extension_dp(n, down, start, step):

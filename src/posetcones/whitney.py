@@ -3,10 +3,20 @@
 Poin(P,t) = sum over chambers t^(codim of shared face), coefficients are the
 unsigned Whitney numbers.  Routes:
 
-  transverse  weighted count of transverse partitions (level DP on masks)
+  transverse  weighted count of transverse partitions (signed up-set DP)
   lrmax       cycle statistic counted over linear extensions
   foata       multiset-word factorization count (disjoint chains only)
   width2      descent statistic over a 2-chain decomposition
+
+`poincare(P)` (method `auto`) means: peel, then the transverse route on the
+residue.  An element x peels when every remaining y incomparable to x has
+down(x) within down(y) and up(x) within up(y), both taken in what remains;
+with k such y, Poin(P) = (1 + k t) Poin(P - x) (Terao's fibre-type
+factorization, Adv. Math. 1986): over a point of the cone of P - x, the
+coordinate x ranges over an interval holding exactly the k incomparable
+coordinates.  Induced subposets inherit peelability, so the greedy order
+does not matter.  The peel is a reduction inside `auto`, not a fifth route:
+a named method runs its route on the whole poset.
 
 The lrmax, width2 and Eulerian statistics are counted by one automaton over
 linear extensions, the level sweep `posets._extension_dp`: each route
@@ -42,6 +52,7 @@ from .posets import (
     Poset,
     _bits,
     _extension_dp,
+    _induced,
     antichain,
     chain_cover_width2,
     disjoint_chain_lengths,
@@ -121,15 +132,41 @@ def poincare_via_width2(P: Poset, d=None) -> IntPolynomial:
 # -- dispatch -----------------------------------------------------------------
 
 def auto_method(P: Poset) -> str:
-    """The route `poincare(P)` takes: always the transverse DP, which beat
-    the lrmax DP on every poset measured.  The lrmax DP runs only by name."""
+    """The route `poincare(P)` runs after its peel: always the transverse
+    DP, on the residue (module docstring).  The lrmax DP runs only by name,
+    on the whole poset."""
     return "transverse"
 
 
+def _fibre_peel(P: Poset):
+    """(k of each peeled element, label mask of the residue), peeling until
+    no remaining element satisfies the condition of the module docstring."""
+    up, down = P._up, P._down
+    left = (1 << P.n) - 1
+    ks = []
+    peeled = True
+    while peeled:
+        peeled = False
+        for x in _bits(left):
+            below = down[x] & left
+            above = up[x] & left
+            others = left & ~(below | above | 1 << x)
+            if all(not (below & ~down[y] or above & ~up[y]) for y in _bits(others)):
+                ks.append(others.bit_count())
+                left ^= 1 << x
+                peeled = True
+    return ks, left
+
+
 def poincare(P: Poset, method: str = "auto") -> IntPolynomial:
-    """`auto` is the transverse DP; the other routes run only when named."""
+    """`auto` peels, then runs the transverse DP on the residue; a named
+    method runs its route on the whole poset."""
     if method == "auto":
-        method = auto_method(P)
+        ks, residue = _fibre_peel(P)
+        poly = poincare_via_transverse(_induced(P, residue))
+        for k in ks:
+            poly = poly * IntPolynomial([1, k])
+        return poly
     if method == "transverse":
         return poincare_via_transverse(P)
     if method == "lrmax":

@@ -26,13 +26,8 @@ from posetcones import (
     poset_from_relations,
     random_poset,
 )
-from posetcones.partitions import (
-    _layer_choices,
-    _packed_layer_weight,
-    _quotient_peel,
-    check_transverse,
-)
-from posetcones.polynomials import slot_width, unpack_slots
+from posetcones.partitions import _layer_choices, _quotient_peel, check_transverse
+from posetcones.polynomials import slot_width, stirling_first_kind_row, unpack_slots
 from posetcones.posets import _label_mask, _min_mask
 
 
@@ -112,7 +107,7 @@ def compositions(total):
 CHAIN_UNIONS = ([1] * 8, [2] * 6, [3] * 5, [4, 4, 4], [7, 1, 1, 1, 1], [5, 3, 2, 1], [6, 5])
 
 
-# -- the signed up-set recursion (oracle for the transverse DP) -----------------
+# -- the signed up-set recursion on lists (oracle for the transverse DP) --------
 
 def _poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
@@ -123,8 +118,10 @@ def _poly_mul(a, b):
 
 
 def signed_upset_poly(P: Poset):
-    """Poin(P, t) as `transverse_poly_coeffs` gives it, by a signed recursion
-    over the up-sets A of P that knows no forbidden level:
+    """Poin(P, t) by the signed recursion over the up-sets A of P that
+    `transverse_poly_coeffs` runs, written apart from it: coefficient
+    lists instead of packed ints, each state's minima by a scan, and the
+    sum over S taken subset by subset:
 
         f(A) = sum over nonempty S within min A of
                (-1)^(|S|-1) prod_{j=1}^{|S|-1} (1 - j t) * f(A - S),
@@ -228,13 +225,50 @@ def descending_runs_poly(P: Poset, descending=True, const=-1) -> IntPolynomial:
 # -- rescanning down-set walks (oracles) ---------------------------------------
 #
 # The memoized walks and the streams as they ran before they carried their
-# minima (the linear-extension count and the extension automaton also as
-# they ran before they became level sweeps), and the width-2 bijections as
-# they ran before they read positions: each state finds its minima by
-# scanning every alive bit or every label.
+# minima (the transverse DP also as it ran before the signed recursion, the
+# linear-extension count and the extension automaton also as they ran
+# before they became level sweeps, the streams as recursive generators),
+# and the width-2 bijections as they ran before they read positions: each
+# state finds its minima by scanning every alive bit or every label.
+
+@lru_cache(maxsize=None)
+def layer_weight(a, f):
+    """W(a, f) = t^f * a^(f) * sum_k c(a, k) t^(a-k) as ascending coefficients,
+    with a^(f) = a (a+1) ... (a+f-1) the rising factorial and c(a, k) the
+    unsigned Stirling numbers of the first kind: the partitions of a layer
+    of a free and f forbidden labels in which every block holds a free
+    label, each weighted prod (|B|-1)! t^(|B|-1).
+
+    Why: the weight (|B|-1)! counts the cyclic orders of a block, so the sum
+    runs over permutations of the layer whose cycles each hold a free label,
+    with t marking size minus cycle count.  Permutations of the free labels
+    give the Stirling sum; each forbidden label is then inserted after an
+    existing element in cycle notation, with a, a+1, ..., a+f-1 choices in
+    turn, which adds one to the size but no cycle."""
+    rising = factorial(a + f - 1) // factorial(a - 1)
+    row = stirling_first_kind_row(a)
+    return (0,) * f + tuple(rising * row[a - j] for j in range(a))
+
+
+@lru_cache(maxsize=None)
+def packed_layer_weight(a, f, w):
+    """W(a, f) packed w bits per coefficient."""
+    return sum(c << (j * w) for j, c in enumerate(layer_weight(a, f)))
+
 
 def rescan_transverse_poly_coeffs(P):
-    """`partitions.transverse_poly_coeffs` with `_min_mask` per state."""
+    """The forbidden-level DP that `partitions.transverse_poly_coeffs` ran
+    before the signed up-set recursion, with `_min_mask` per state.
+
+    It peels P by quotient levels, memoized on (alive, forbidden): minima
+    left out of a layer become forbidden, and a layer may hold a forbidden
+    minimum only in a block with a free one, so each transverse partition
+    is counted once, on its own levels.  A layer of a free and f forbidden
+    minima multiplies its tail by `layer_weight(a, f)`, and a state whose
+    minima are all forbidden contributes zero.  Values are packed w =
+    slot_width(n) bits per coefficient; they are nonnegative and sum to at
+    most n!, so no slot carries.
+    """
     n = P.n
     down = P._down
     w = slot_width(n)
@@ -262,7 +296,7 @@ def rescan_transverse_poly_coeffs(P):
                 s = sa | sf
                 tail = rec(alive & ~s, mm & ~s)
                 if tail:
-                    acc += _packed_layer_weight(a, sf.bit_count(), w) * tail
+                    acc += packed_layer_weight(a, sf.bit_count(), w) * tail
                 if not sf:
                     break
                 sf = (sf - 1) & forb

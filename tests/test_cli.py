@@ -5,6 +5,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -234,6 +235,61 @@ def test_cli_surface_walk_sees_a_planted_option():
     assert got[("foata", "intercalate")] == {"--planted"}
 
 
+def _texts(parser):
+    """Usage and help of the top parser and of every (command, variant)."""
+    out = {None: (parser.format_usage(), parser.format_help())}
+    for key, v in variant_parsers(parser).items():
+        out[key] = (v.format_usage(), v.format_help())
+    for name, p in _subparsers(parser).items():
+        out[name] = (p.format_usage(), p.format_help())
+    return out
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_parser_for_one_command_prints_the_same_texts(command):
+    # the top usage still lists every command, and the named command's
+    # subtree prints what the full tree prints
+    full = _texts(build_parser())
+    got = _texts(build_parser(command))
+    assert got[None] == full[None]
+    mine = {key: text for key, text in full.items()
+            if key is not None and command in (key, key[0])}
+    assert {key: got[key] for key in mine} == mine
+
+
+def test_parser_for_one_command_leaves_the_others_bare():
+    # negative control: the other commands hold no option but -h, so the
+    # comparison above is not between two full trees
+    parser = build_parser("table")
+    bare = {name for name, p in _subparsers(parser).items()
+            if [a.dest for a in p._actions] == ["help"]}
+    assert bare == set(cli.COMMANDS) - {"table"}
+    assert declared_options(parser)["table", None] == CLI_OPTIONS["table", None]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["table", "--n-max", "2"], "table"),
+    (["tabel"], None),
+    (["--machine", "table"], None),
+    ([], None),
+])
+def test_main_builds_the_named_command_only(monkeypatch, capsys, argv, want):
+    seen = []
+    full = cli.build_parser
+
+    def recorded(command=None):
+        seen.append(command)
+        return full(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    try:
+        main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+    capsys.readouterr()
+    assert seen == [want]
+
+
 @pytest.mark.parametrize("argv, unknown", [
     (["bij", "psi", "--poset", "-", "--word", "1,2", "--machine"], "--machine"),
     (["table", "--seed", "1"], "--seed 1"),
@@ -276,6 +332,21 @@ def test_poin_still_accepts_workers(tmp_path, capsys):
     assert (code, out) == (0, plain)
     code, out, _ = run(capsys, "poin", f, "--method", "lrmax", "--workers", "2", "--machine")
     assert (code, out) == (0, "1 4 1\n")
+
+
+def test_poin_on_antichain_40_prints_the_stirling_row(tmp_path, capsys):
+    # the peel takes every point of an antichain and the extension count
+    # splits it into singletons; unpeeled, the DP's root would take 2^40
+    # layers and the sweep 2^40 masks
+    f = poset_file(tmp_path, "n 40\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "poin", f, "--machine")
+    assert time.perf_counter() - start < 1
+    want = IntPolynomial.one()
+    for k in range(1, 40):
+        want = want * IntPolynomial([1, k])
+    assert (code, out) == (0, want.machine_str() + "\n")
+    assert whitney.stirling_row_matches(want, 40)
 
 
 def test_poin_past_the_size_guard_exit_2(tmp_path):

@@ -28,6 +28,7 @@ from posetcones import (
     PosetconesError,
     SetPartition,
     antichain,
+    chain,
     chain_cover_width2,
     count_linear_extensions,
     enumerate_transverse,
@@ -40,10 +41,12 @@ from posetcones import (
     multiset_encode,
     omega,
     omega_inv,
+    ordinal_sum,
     p_eulerian,
     parse_partition,
     partition_to_text,
     phi,
+    poincare,
     poincare_via_lrmax,
     poincare_via_width2,
     prime_decompose,
@@ -103,18 +106,26 @@ def _automaton_routes(P):
     )
 
 
-def test_transverse_dp_matches_rescan_oracle():
-    for P in walk_corpus():
-        assert transverse_poly_coeffs(P) == rescan_transverse_poly_coeffs(P), P.relations()
-
-
-def test_transverse_dp_matches_signed_upset_recursion():
-    # an oracle that shares nothing with the DP's forbidden levels
+@lru_cache(maxsize=None)
+def dp_corpus():
+    """`walk_corpus()`, 200 seeded random posets with n <= 10 and the grids
+    up to 5x6."""
     rng = random.Random(20)
     extra = [random_poset(rng.randint(0, 10), rng.choice([0.1, 0.25, 0.4, 0.6]), rng)
              for _ in range(200)]
     extra += [grid(rows, cols) for rows in range(1, 6) for cols in range(rows, 7)]
-    for P in walk_corpus() + tuple(extra):
+    return walk_corpus() + tuple(extra)
+
+
+def test_transverse_dp_matches_rescan_oracle():
+    # the forbidden-level DP the signed recursion replaced
+    for P in dp_corpus():
+        assert transverse_poly_coeffs(P) == rescan_transverse_poly_coeffs(P), P.relations()
+
+
+def test_transverse_dp_matches_signed_upset_recursion():
+    # the same recursion on coefficient lists, with a minima scan per state
+    for P in dp_corpus():
         assert transverse_poly_coeffs(P) == signed_upset_poly(P), P.relations()
 
 
@@ -372,7 +383,7 @@ def _self_referencing_walk(P):
 @pytest.mark.parametrize("walk, P", [
     (transverse_poly_coeffs, union_of_chains([2] * 5)),
     (poincare_via_lrmax, grid(3, 5)),
-    (count_linear_extensions, antichain(10)),
+    (count_linear_extensions, ordinal_sum(chain(1), antichain(10))),
 ], ids=["transverse_poly_coeffs", "poincare_via_lrmax", "count_linear_extensions"])
 def test_memo_walks_free_their_memo_on_return(walk, P):
     assert _held_kib(walk, P) < 4
@@ -401,11 +412,17 @@ def test_lrmax_sweep_holds_two_levels_at_its_peak():
 
 
 def test_sweeps_need_no_recursion_depth():
-    # a chain longer than the recursion limit has one linear extension
+    # a chain longer than the recursion limit has one linear extension, one
+    # transverse partition and one transverse permutation; `poincare` peels
+    # every point with k = 0, so it never reaches the transverse DP, which
+    # still recurses once per level
     P = union_of_chains([sys.getrecursionlimit() + 100])
     assert count_linear_extensions(P) == 1
     one = IntPolynomial([1])
     assert (poincare_via_lrmax(P), poincare_via_width2(P), p_eulerian(P)) == (one, one, one)
+    assert poincare(P) == one
+    for stream in (linear_extensions, enumerate_transverse, transverse_permutations):
+        assert sum(1 for _ in stream(P)) == 1, stream.__name__
 
 
 def test_self_referencing_walk_keeps_its_memo():
@@ -422,11 +439,15 @@ def test_rescan_oracle_scans_once_per_state(monkeypatch):
 @pytest.mark.parametrize("P, want", [
     (antichain(12), 0),
     (antichain(16), 0),
-    (grid(4, 6), 513),
-], ids=["antichain-12", "antichain-16", "grid-4x6"])
+    (grid(4, 6), 208),
+    (grid(5, 6), 460),
+    (union_of_chains([2] * 9), 19681),
+], ids=["antichain-12", "antichain-16", "grid-4x6", "grid-5x6", "chains-2x9"])
 def test_transverse_dp_steps_no_dead_antichain_child(monkeypatch, P, want):
-    # a child that is only untaken, now forbidden, minima is 0 on sight:
-    # an antichain's 2^n - 2 such children cost no minima step
+    # the DP is memoized on the up-set alone and derives each state's minima
+    # once, when it first reaches it: one step per up-set other than P and
+    # the empty set (210, 462 and 3^9 up-sets); an antichain is one state,
+    # closed on sight, so it needs no step at all
     calls = []
     step = partitions._minima_after
 

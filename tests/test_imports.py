@@ -247,10 +247,8 @@ def test_planted_unchecked_build_is_flagged():
 # recursive closure holds its memo in a reference cycle and is bounded by
 # the recursion limit, so a new one must be added here on purpose
 RECURSIVE_CLOSURES = [("partitions.py", "_layer_choices.rec"),
-                      ("partitions.py", "enumerate_transverse.rec"),
                       ("partitions.py", "transverse_poly_coeffs.rec"),
-                      ("posets.py", "_matching_chain_cover.try_augment"),
-                      ("posets.py", "linear_extensions.rec")]
+                      ("posets.py", "_matching_chain_cover.try_augment")]
 
 
 def recursive_closures(sources):

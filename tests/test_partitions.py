@@ -29,7 +29,6 @@ from posetcones import bijections, partitions
 from posetcones.bijections import transverse_permutations
 from posetcones.partitions import (
     _layer_choices,
-    _layer_weight,
     _min_mask,
     _quotient_peel,
     check_transverse,
@@ -42,6 +41,7 @@ from common import (
     all_labeled_posets,
     all_partitions,
     brute_force_transverse,
+    layer_weight,
     multinomial,
     packed_kernel_corpus,
     quotient_preposet,
@@ -399,7 +399,7 @@ def test_layer_weight_matches_partition_sum():
                 continue
             while brute[-1] == 0:
                 brute.pop()
-            assert list(_layer_weight(a, f)) == brute, (a, f)
+            assert list(layer_weight(a, f)) == brute, (a, f)
 
 
 def test_dp_matches_enumeration_on_all_small_posets():
@@ -448,7 +448,7 @@ def _list_transverse_coeffs(P):
             while True:
                 s = sa | sf
                 tail = rec(alive & ~s, mm & ~s)
-                for j, w in enumerate(_layer_weight(a, sf.bit_count())):
+                for j, w in enumerate(layer_weight(a, sf.bit_count())):
                     for d, c in enumerate(tail):
                         acc[d + j] += w * c
                 if not sf:

@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -29,7 +30,16 @@ from posetcones import (
     union_of_chains,
     width,
 )
-from common import all_labeled_posets, brute_force_width, compositions, induced
+from posetcones import posets
+from posetcones.posets import _components, _induced
+
+from common import (
+    all_labeled_posets,
+    brute_force_width,
+    compositions,
+    induced,
+    rescan_count_linear_extensions,
+)
 
 
 EX_PHI_RELATIONS = [
@@ -175,6 +185,44 @@ def test_grid_counts():
     for n in range(1, 7):
         assert count_linear_extensions(grid(2, n)) == catalan[n]
     assert count_linear_extensions(union_of_chains((2, 3))) == 10
+
+
+def test_linear_extension_count_splits_by_components(monkeypatch):
+    # e(P) = multinomial(9; 3, 3, 1, 1, 1) * 1 * 2: one sweep per component,
+    # on its induced subposet, and none on the whole poset
+    P = poset_from_relations(9, [(7, 2), (2, 5), (4, 9), (4, 1)])
+    sizes = []
+    sweep = posets._count_sweep
+
+    def counted(Q):
+        sizes.append(Q.n)
+        return sweep(Q)
+
+    monkeypatch.setattr(posets, "_count_sweep", counted)
+    assert count_linear_extensions(P) == factorial(9) // 36 * 2
+    assert rescan_count_linear_extensions(P) == factorial(9) // 36 * 2
+    assert sorted(sizes) == [1, 1, 1, 3, 3]
+    sizes.clear()
+    assert count_linear_extensions(antichain(40)) == factorial(40)
+    assert sizes == [1] * 40
+
+
+def test_components_and_induced_subposets_match_the_oracles():
+    # the components against a label-merging oracle over comparable pairs
+    for n in range(6):
+        for P in all_labeled_posets(n):
+            root = list(range(n + 1))
+            for i, j in P.relations():
+                a, b = root[i], root[j]
+                root = [a if r == b else r for r in root]
+            want = {}
+            for x in range(1, n + 1):
+                want[root[x]] = want.get(root[x], 0) | 1 << (x - 1)
+            parts = list(_components(P))
+            assert parts == sorted(want.values(), key=lambda m: m & -m), P.relations()
+            for part in parts:
+                labels = [v + 1 for v in range(n) if part >> v & 1]
+                assert _induced(P, part) == induced(P, labels)
 
 
 def test_width():

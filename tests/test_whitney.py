@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -35,7 +36,7 @@ from posetcones import (
 from posetcones import whitney
 from posetcones.whitney import auto_method
 
-from common import CHAIN_UNIONS, multinomial, packed_kernel_corpus
+from common import CHAIN_UNIONS, all_labeled_posets, multinomial, packed_kernel_corpus
 
 
 def poly(*coeffs):
@@ -331,3 +332,55 @@ def test_masked_lrmax_state_bounds_the_work(monkeypatch, P, most):
     monkeypatch.setattr(whitney, "_extension_dp", _list_extension_dp)
     assert poincare_via_lrmax(P) == poincare_via_transverse(P)
     assert _list_extension_dp.states <= most
+
+
+# -- the peel inside poincare(auto) --------------------------------------------
+
+def _relabeled(P, order):
+    return poset_from_relations(P.n, [(order[i - 1], order[j - 1]) for i, j in P.relations()])
+
+
+def test_auto_peel_matches_the_transverse_route_on_every_small_poset():
+    for n in range(6):
+        for P in all_labeled_posets(n):
+            assert poincare(P) == poincare_via_transverse(P), P.relations()
+
+
+def test_auto_peel_matches_the_transverse_route_on_relabeled_posets():
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        P = random_poset(n, rng.choice([0.05, 0.1, 0.2, 0.35, 0.6]), rng)
+        P = _relabeled(P, rng.sample(range(1, n + 1), n))
+        assert poincare(P) == poincare_via_transverse(P), P.relations()
+
+
+def _value_at_root(poly, k):
+    """Poly at t = -1/k, zero iff (1 + k t) divides it."""
+    return sum(Fraction(c, (-k) ** d) for d, c in enumerate(poly.coeffs))
+
+
+def test_an_element_failing_the_peel_condition_stays():
+    # negative control: the N poset 1 < 2, 3 < 4, 1 < 4 beside an isolated
+    # point 5.  Point 5 peels with k = 4; in N, 3 fails on 2 (up(3) = {4} is
+    # not within up(2)), and so does every other point, and no (1 + k t)
+    # with k the point's incomparable count divides Poin
+    P = poset_from_relations(5, [(1, 2), (3, 4), (1, 4)])
+    assert whitney._fibre_peel(P) == ([4], 0b1111)
+    got = poincare(P)
+    assert got == poly(1, 4) * poly(1, 3, 1)
+    for x in range(4):
+        k = P.n - 1 - (P._up[x] | P._down[x]).bit_count()
+        assert _value_at_root(got, k) != 0, x + 1
+
+
+@pytest.mark.parametrize("P, peeled, left", [
+    (random_poset(19, 0.02, random.Random(1)), 12, 7),
+    (random_poset(20, 0.05, random.Random(4)), 5, 15),
+    (antichain(40), 40, 0),
+    (chain(30), 30, 0),
+    (union_of_chains([1, 3, 1, 2, 1]), 3, 5),
+], ids=["random-19-.02-s1", "random-20-.05-s4", "antichain-40", "chain-30", "chains-13121"])
+def test_peel_leaves_the_measured_residue(P, peeled, left):
+    ks, residue = whitney._fibre_peel(P)
+    assert (len(ks), residue.bit_count()) == (peeled, left)
