@@ -354,6 +354,14 @@ def _integer(low=None):
     return read
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes an option only by its full spelling, never by a prefix of it;
+    `add_subparsers` builds every command and variant parser of this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def _machine_parent():
     machine = argparse.ArgumentParser(add_help=False)
     machine.add_argument("--machine", action="store_true",
@@ -471,7 +479,7 @@ def build_parser(command=None):
     """The full parser tree, or, given a command's name, the tree with only
     that command's options: every other command stays a bare entry, so the
     top-level usage line still lists them all."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posetcones",
         description="Cone polynomials of finite posets and their bijections.",
     )

@@ -7,10 +7,10 @@ factorization walk repeatedly starts at the smallest letter with columns
 left, steps top -> bottom through the leftmost unused column of each letter,
 and cuts out the first revisited circuit; tail arcs stay for later factors.
 
-One list-based walker, `_circuits`, does this on raw bottom words; the object
-API ranks the letters before calling it, and the count over all words of a
-support (`fcyc_distribution`, which the foata route reverses) feeds it one
-list rearranged in place, against column bounds set up once per support.
+One list-based walker, `_circuits`, does this on raw bottom words.  The object
+API ranks the letters first, `foata_phi` passes chain letters, already ranks,
+and `fcyc_distribution` (which the foata route reverses) one list rearranged
+in place, each against column bounds from `_column_bounds`.
 
 Caller input is validated once and library-built objects are not:
 `MultisetPermutation(...)`, `from_word`, `from_rows` and
@@ -301,13 +301,11 @@ def multiset_decode(a, sigma: MultisetPermutation):
 
 def _decode(a, bottom):
     """`multiset_decode` of a bottom word already known to have support a."""
-    last = [0]  # last[j-1]: label most recently given to chain j
-    for aj in a:
-        last.append(last[-1] + aj)
+    last = _column_bounds(a)[0]  # last[j]: label most recently given to chain j
     word = []
     for b in bottom:
-        last[b - 1] += 1
-        word.append(last[b - 1])
+        last[b] += 1
+        word.append(last[b])
     return tuple(word)
 
 
@@ -360,12 +358,13 @@ def foata_phi(a, lam) -> Permutation:
     """Permutation of canonical column positions: position i maps to the
     position, within its prime factor, of the column topped by i's bottom
     letter."""
-    sigma = multiset_encode(a, lam)
-    images = [0] * sigma.n
-    for circuit in _decompose_indexed(sigma):
-        pos_of_top = {sigma.columns[idx][0]: idx + 1 for idx in circuit}
+    word = multiset_encode(a, lam).bottom_row()  # chain letters, ranks already
+    top = _chain_letters(a)
+    images = [0] * len(word)
+    for circuit in _circuits(word, *_column_bounds(a)):
+        pos_of_top = {top[idx]: idx + 1 for idx in circuit}
         for idx in circuit:
-            images[idx] = pos_of_top[sigma.columns[idx][1]]
+            images[idx] = pos_of_top[word[idx]]
     return Permutation._built(images)
 
 

@@ -53,16 +53,7 @@ class Poset:
 
     def relations(self):
         """All strict pairs (i, j) with i <_P j, sorted."""
-        out = []
-        for i in range(self.n):
-            row = self._up[i]
-            j = 0
-            while row:
-                if row & 1:
-                    out.append((i + 1, j + 1))
-                row >>= 1
-                j += 1
-        return out
+        return [(i + 1, j + 1) for i, row in enumerate(self._up) for j in _bits(row)]
 
     def covers(self):
         """Cover pairs (i, j): i <_P j with nothing strictly between, sorted."""
@@ -414,42 +405,37 @@ def _matching_chain_cover(P: Poset):
     """Minimum chain cover via Kuhn matching on the comparability DAG.
 
     Left vertices scanned in increasing label; augmenting paths try right
-    vertices in increasing label, so the cover is deterministic.
+    vertices in increasing label, so the cover is deterministic.  Each
+    chain starts at an unmatched right vertex, in increasing label.
     """
     n = P.n
     up = P._up
-    match_left = [-1] * n   # right j -> left i
-    match_right = [-1] * n  # left i -> right j
+    below = [-1] * n  # right j -> left i matched to it
 
-    def try_augment(i, seen):
-        row = up[i]
-        for j in _bits(row):
-            if seen & (1 << j):
+    def try_augment(i):
+        nonlocal seen
+        for j in _bits(up[i]):
+            if seen >> j & 1:
                 continue
             seen |= 1 << j
-            if match_left[j] < 0:
-                match_left[j] = i
-                match_right[i] = j
-                return True, seen
-            ok, seen = try_augment(match_left[j], seen)
-            if ok:
-                match_left[j] = i
-                match_right[i] = j
-                return True, seen
-        return False, seen
+            if below[j] < 0 or try_augment(below[j]):
+                below[j] = i
+                return True
+        return False
 
     for i in range(n):
-        try_augment(i, 0)
+        seen = 0
+        try_augment(i)
 
+    above = {i: j for j, i in enumerate(below) if i >= 0}
     chains = []
-    starts = [i for i in range(n) if match_left[i] < 0]
-    for s in starts:
-        c = [s + 1]
-        while match_right[s] >= 0:
-            s = match_right[s]
-            c.append(s + 1)
-        chains.append(tuple(c))
-    chains.sort(key=lambda c: c[0])
+    for s in range(n):
+        if below[s] < 0:
+            c = [s + 1]
+            while s in above:
+                s = above[s]
+                c.append(s + 1)
+            chains.append(tuple(c))
     return chains
 
 
@@ -517,31 +503,16 @@ def is_antichain(P: Poset, S) -> bool:
 def disjoint_chain_lengths(P: Poset):
     """Chain lengths when P is a standardized union of chains: each chain
     holds consecutive labels increasing bottom to top, chains in label order.
-    NotDisjointChains otherwise."""
-    n = P.n
+    Each length is read off its chain bottom's up row, and P must equal
+    `union_of_chains` of the lengths; NotDisjointChains otherwise."""
     lengths = []
-    base = 0
-    while base < n:
-        v = base  # 0-based; chain must start at base+1
-        if P._down[v]:
-            raise NotDisjointChains(f"label {v + 1} is not a chain bottom")
-        length = 1
-        while P._up[v]:
-            if P._up[v] != _up_segment(v + 1, P._up[v]):
-                raise NotDisjointChains(
-                    f"labels above {v + 1} are not the consecutive run expected"
-                )
-            v += 1
-            length += 1
-        lengths.append(length)
-        base += length
+    v = 0  # 0-based label of the next chain bottom
+    while v < P.n:
+        lengths.append(P._up[v].bit_count() + 1)
+        v += lengths[-1]
+    if union_of_chains(lengths) != P:
+        raise NotDisjointChains("not a union of chains on consecutive labels")
     return tuple(lengths)
-
-
-def _up_segment(start, mask):
-    """Mask of the consecutive bits start..start+k-1 where k = popcount."""
-    k = bin(mask).count("1")
-    return ((1 << k) - 1) << start
 
 
 # -- text format --------------------------------------------------------------

@@ -639,3 +639,45 @@ def brute_force_width(P: Poset) -> int:
         if len(S) > best and is_antichain(P, S):
             best = len(S)
     return best
+
+
+def kuhn_chain_cover(P: Poset, descending=False):
+    """Minimum chain cover by Kuhn matching with both match arrays (oracle
+    for `posets._matching_chain_cover`): left vertices in increasing label,
+    each augmenting path trying right vertices in increasing label, or in
+    decreasing label with `descending` (a negative control).  Chains are
+    read from the unmatched right vertices and sorted by their bottoms."""
+    n = P.n
+    up = P._up
+    order = range(n - 1, -1, -1) if descending else range(n)
+    match_left = [-1] * n   # right j -> left i
+    match_right = [-1] * n  # left i -> right j
+
+    def try_augment(i, seen):
+        for j in order:
+            if not up[i] >> j & 1 or seen & (1 << j):
+                continue
+            seen |= 1 << j
+            if match_left[j] < 0:
+                match_left[j] = i
+                match_right[i] = j
+                return True, seen
+            ok, seen = try_augment(match_left[j], seen)
+            if ok:
+                match_left[j] = i
+                match_right[i] = j
+                return True, seen
+        return False, seen
+
+    for i in range(n):
+        try_augment(i, 0)
+
+    chains = []
+    for s in (i for i in range(n) if match_left[i] < 0):
+        c = [s + 1]
+        while match_right[s] >= 0:
+            s = match_right[s]
+            c.append(s + 1)
+        chains.append(tuple(c))
+    chains.sort(key=lambda c: c[0])
+    return chains

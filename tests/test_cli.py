@@ -308,6 +308,25 @@ def test_options_on_commands_that_do_not_read_them_exit_2(argv, unknown):
     assert err.endswith(f"error: unrecognized arguments: {unknown}\n")
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    (["table", "--n", "3", "--machine"], "--n 3"),
+    (["selfcheck", "--n", "5"], "--n 5"),
+    (["poin", "-", "--meth", "lrmax"], "--meth lrmax"),
+    (["genfun", "verify", "--deg", "3", "--mach"], "--deg 3 --mach"),
+])
+def test_a_prefix_of_an_option_is_refused(capsys, argv, unknown):
+    # with argparse's default allow_abbrev, each prefix stood for a declared
+    # option and the call exited 0
+    out, err = usage_error(capsys, *argv)
+    assert out == "" and err.endswith(f"error: unrecognized arguments: {unknown}\n")
+
+
+@pytest.mark.parametrize("argv", [["genfun", "stirling", "--n", "3"], ["table", "--n-max", "3"],
+                                  ["table", "--n-max=3", "--machine"]])
+def test_full_option_spellings_still_parse(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+
+
 @pytest.mark.parametrize("argv, want", [
     (["table", "--n-max", "1_0", "--machine"], "argument --n-max: bad integer '1_0'"),
     (["genfun", "stirling", "--n", "\u0661"], "argument --n: bad integer '\u0661'"),

@@ -49,6 +49,7 @@ from posetcones import (
     poincare,
     poincare_via_lrmax,
     poincare_via_width2,
+    poset_from_relations,
     prime_decompose,
     psi,
     random_poset,
@@ -67,6 +68,7 @@ from common import (
     compositions,
     descending_runs_poly,
     keyed_phi,
+    kuhn_chain_cover,
     record_psi,
     rescan_count_linear_extensions,
     rescan_enumerate_transverse,
@@ -216,6 +218,34 @@ def test_width2_bijections_raise_as_the_rescan_oracles():
             assert _outcome(omega_inv, P, d, pi) == _outcome(rescan_omega_inv, P, d, pi)
         short = tuple(range(1, P.n))
         assert _outcome(omega, P, d, short) == _outcome(rescan_omega, P, d, short)
+
+
+@lru_cache(maxsize=None)
+def _cover_corpus():
+    """`walk_corpus()` and 2 000 seeded random posets with n <= 14, each
+    relabeled by a drawn permutation."""
+    rng = random.Random(25)
+    out = list(walk_corpus())
+    for _ in range(2000):
+        n = rng.randint(1, 14)
+        P = random_poset(n, 0.6 * rng.random(), rng)
+        order = rng.sample(range(1, n + 1), n)
+        out.append(poset_from_relations(n, [(order[i - 1], order[j - 1])
+                                            for i, j in P.relations()]))
+    return tuple(out)
+
+
+def test_chain_cover_matches_the_kuhn_oracle():
+    # the default width-2 cover, which omega, omega_inv and selfcheck read
+    for P in _cover_corpus():
+        assert posets._matching_chain_cover(P) == kuhn_chain_cover(P), P.relations()
+
+
+def test_kuhn_oracle_depends_on_the_scan_order():
+    # negative control: scanning the right vertices downward changes the
+    # cover somewhere in the corpus, so the test above pins the order
+    assert any(kuhn_chain_cover(P, descending=True) != kuhn_chain_cover(P)
+               for P in _cover_corpus())
 
 
 PSI_CAP = 200  # extensions per corpus member; all of them when n <= 5

@@ -1,4 +1,4 @@
-"""Unused-import, function-local-import, import-order,
+"""Unused-import, function-local-import, stdlib-import, import-order,
 unread-private-definition, unchecked-constructor and recursive-closure
 checks for the library modules, written on the stdlib `ast`."""
 
@@ -45,6 +45,25 @@ def local_sibling_imports(source):
         for node in ast.walk(scope)
         if isinstance(node, ast.ImportFrom) and node.level
     })
+
+
+# the only standard-library modules the library imports; each one is paid
+# for by every `import posetcones`, so a new one must be added here on purpose
+STDLIB_IMPORTS = ["__future__", "argparse", "collections", "itertools", "math",
+                  "random", "sys"]
+
+
+def stdlib_imports(sources):
+    """Top-level names of the absolute imports across `sources`, which
+    maps module file names to their text; relative imports are skipped."""
+    found = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    return sorted(found)
 
 
 # the one order of the library modules: each imports only modules before it
@@ -188,6 +207,20 @@ def test_planted_local_sibling_import_is_flagged():
     )
     assert local_sibling_imports(planted) == [
         (top + 6, ".posets"), (top + 7, "."), (top + 9, ".genfun")]
+
+
+def test_only_the_listed_stdlib_modules_are_imported():
+    assert stdlib_imports(SOURCES) == STDLIB_IMPORTS
+
+
+def test_planted_stdlib_import_is_flagged():
+    # negative control: a new module at the top, a dotted one inside a
+    # function, and a relative import, which is no stdlib module
+    planted = dict(SOURCES)
+    planted["posets.py"] = "import dataclasses\n" + SOURCES["posets.py"]
+    planted["foata.py"] += "\ndef _late():\n    from os.path import join\n"
+    planted["cli.py"] += "\nfrom .whitney import poincare\n"
+    assert stdlib_imports(planted) == sorted(STDLIB_IMPORTS + ["dataclasses", "os"])
 
 
 def test_modules_import_in_one_order():

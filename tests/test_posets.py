@@ -320,6 +320,25 @@ def test_disjoint_chain_lengths_requires_standardized_labels():
         disjoint_chain_lengths(poset_from_relations(2, [(2, 1)]))
 
 
+
+def test_disjoint_chain_lengths_inverts_union_of_chains():
+    # every composition of total <= 8, as it is and with a zero part put in
+    # at each place: zero parts build no chain and read back as nothing
+    for total in range(9):
+        for a in compositions(total):
+            for k in range(len(a) + 1):
+                for parts in (a, a[:k] + (0,) + a[k:]):
+                    assert disjoint_chain_lengths(union_of_chains(parts)) == a, parts
+
+
+def test_disjoint_chain_lengths_refuses_what_union_of_chains_does_not_build():
+    # the lengths read off the up rows are (3, 1, 2), (1, 2) and (4,):
+    # only the comparison with union_of_chains refuses them
+    relabeled = poset_from_relations(6, [(1, 5), (5, 6), (2, 3), (3, 4)])
+    for P in (relabeled, opposite(chain(3)), grid(2, 2)):
+        with pytest.raises(NotDisjointChains):
+            disjoint_chain_lengths(P)
+
 def test_text_round_trip():
     for P in (chain(4), antichain(3), grid(3, 3), union_of_chains((2, 3, 2, 3))):
         assert parse_poset(poset_to_text(P)) == P
