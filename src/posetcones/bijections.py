@@ -83,7 +83,7 @@ class Permutation:
                 if not 1 <= x <= n:
                     raise IndexOutOfRange(f"label {x} outside 1..{n}")
                 if x in seen:
-                    raise ParseError(f"label {x} in two cycles")
+                    raise ParseError(f"label {x} appears more than once")
                 seen.add(x)
             for idx, x in enumerate(cyc):
                 images[x - 1] = cyc[(idx + 1) % len(cyc)]

@@ -12,6 +12,7 @@ import argparse
 import random
 import sys
 from collections import Counter
+from itertools import islice
 
 from . import bijections, whitney
 from .errors import ParseError, PosetconesError, WidthExceeded
@@ -287,11 +288,7 @@ def cmd_selfcheck(args):
         if dual != dp:
             fails.append(f"{tag}: dual polynomial differs {_first_difference(dp, dual)}")
 
-        words = []
-        for w in linear_extensions(P):
-            words.append(w)
-            if len(words) >= 200:
-                break
+        words = list(islice(linear_extensions(P), 200))
         ran["phi/psi round trips"] += 1
         for w in words:
             tau = bijections.psi(P, w)
@@ -312,10 +309,6 @@ def cmd_selfcheck(args):
                 pi = bijections.omega(P, d, w)
                 if bijections.omega_inv(P, d, pi) != w:
                     fails.append(f"{tag}: omega round trip broke for {w}")
-                    break
-                pairs = sum(1 for b in pi.blocks if len(b) == 2)
-                if pairs != bijections.des_p1p2(P, d, w):
-                    fails.append(f"{tag}: pair blocks != descents for {w}")
                     break
 
     stirling_ok = whitney.stirling_row_check(6)

@@ -80,7 +80,7 @@ class SetPartition:
                 if not 1 <= x <= n:
                     raise IndexOutOfRange(f"element {x} outside 1..{n}")
                 if seen >> (x - 1) & 1:
-                    raise ParseError(f"element {x} repeated across blocks")
+                    raise ParseError(f"element {x} appears more than once")
                 seen |= 1 << (x - 1)
             canon.append(tuple(b))
         if seen != (1 << n) - 1:

@@ -25,11 +25,11 @@ the transverse DP, the sweep keeps each count vector as one packed int.
 
 The lrmax state keeps only what a later step can read.  Later steps read
 the current and previous level only as `down[v] & level`, and the running
-maximum only as `v > runm`, each for an unplaced v.  So both levels are cut
-to live(placed), the union of the unplaced elements' down rows, and runm
-becomes `above`, the unplaced elements larger than it.  Placed only grows,
-so these sets only shrink: the cut merges exactly the states that no later
-step can tell apart.
+maximum only as `v > runm`, each for an unplaced v.  The first is nonzero
+iff v lies in the union of the level's up rows, so each level becomes that
+union, and runm becomes `above`, the unplaced elements with a larger label.
+No mask keeps a placed element, so the states merge exactly when no later
+step can tell them apart.
 
 Keeping the routes separate is the point: cross-checking them is the main
 correctness instrument, so none of them may delegate to another.  The
@@ -70,40 +70,29 @@ def poincare_via_transverse(P: Poset) -> IntPolynomial:
 def poincare_via_lrmax(P: Poset) -> IntPolynomial:
     """Sum of t^(n - #LR maxima) over all linear extensions.
 
-    State (cur, prev, first, above): levels break when a new element
-    dominates the current level cur; an element is an LR maximum on level
-    one always, deeper iff it dominates the previous level prev, and only
-    if it is in `above`, the unplaced elements larger than the running
-    maximum.  Every placed element that is not an LR maximum scores t.
-    cur and prev keep only their bits in live(placed), computed once per
-    placed mask; the module docstring says why this is exact.
+    State (over_cur, over_prev, above) of unplaced-element masks: over_cur
+    is the union of the current level's up rows, over_prev the same for
+    the previous level (every unplaced element on level one), and `above`
+    the elements whose label is larger than the running maximum.  An
+    element in over_cur opens the next level as its LR maximum; any other
+    is an LR maximum iff it lies in over_prev and in `above`.  Every placed
+    element that is not an LR maximum scores t.  over_cur needs no masking:
+    placing an element above the current level opens the next one.
     """
-    n = P.n
-    down = P._down
-    full = (1 << n) - 1
-    lives = {}  # live(placed) on the level the sweep is building
-    size = 0  # |placed| on that level
+    up = P._up
+    full = (1 << P.n) - 1
 
     def step(placed, state, v):
-        nonlocal size
-        cur, prev, first, above = state
-        live = lives.get(placed)
-        if live is None:
-            if placed.bit_count() != size:
-                lives.clear()
-                size = placed.bit_count()
-            live = 0
-            for u in _bits(full & ~placed):
-                live |= down[u]
-            lives[placed] = live
+        over_cur, over_prev, above = state
         b = 1 << v
-        if down[v] & cur:
-            return (b & live, cur & live, False, full & ~placed & -(b << 1)), 0
-        if (first or down[v] & prev) and above & b:
-            return ((cur | b) & live, prev & live, first, above & -(b << 1)), 0
-        return ((cur | b) & live, prev & live, first, above & ~b), 1
+        if over_cur & b:
+            return (up[v], over_cur & ~b, full & ~placed & -(b << 1)), 0
+        after = (over_cur | up[v], over_prev & ~b)
+        if over_prev & above & b:
+            return (*after, above & -(b << 1)), 0
+        return (*after, above & ~b), 1
 
-    return _extension_dp(n, down, (0, 0, True, full), step)
+    return _extension_dp(P.n, P._down, (0, full, full), step)
 
 
 def poincare_via_foata(a) -> IntPolynomial:

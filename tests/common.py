@@ -28,7 +28,7 @@ from posetcones import (
 )
 from posetcones.partitions import _layer_choices, _quotient_peel, check_transverse
 from posetcones.polynomials import slot_width, stirling_first_kind_row, unpack_slots
-from posetcones.posets import _label_mask, _min_mask
+from posetcones.posets import _bits, _label_mask, _min_mask
 
 
 def is_transitive(rel):
@@ -356,6 +356,31 @@ def rescan_extension_dp(n, down, start, step):
         return acc
 
     return IntPolynomial(unpack_slots(rec(0, start), w))
+
+
+def live_cut_lrmax_step(P: Poset):
+    """(start, step) of the lrmax automaton with its levels cut to
+    live(placed), the union of the unplaced elements' down rows, and a
+    first-level flag: the state `whitney.poincare_via_lrmax` kept before
+    its levels became up-row masks, with live(placed) computed per step
+    (reference for how many states the sweep merges)."""
+    down = P._down
+    full = (1 << P.n) - 1
+
+    def step(placed, state, v):
+        cur, prev, first, above = state
+        live = 0
+        for u in _bits(full & ~placed):
+            live |= down[u]
+        b = 1 << v
+        if down[v] & cur:
+            return (b & live, cur & live, False, full & ~placed & -(b << 1)), 0
+        if (first or down[v] & prev) and above & b:
+            return ((cur | b) & live, prev & live, first, above & -(b << 1)), 0
+        return ((cur | b) & live, prev & live, first, above & ~b), 1
+
+    return (0, 0, True, full), step
+
 
 def rescan_linear_extensions(P: Poset):
     """`posets.linear_extensions` testing every label per state."""

@@ -96,6 +96,14 @@ def test_permutation_text_forms():
         parse_permutation("[1,2]", n=3)
 
 
+@pytest.mark.parametrize("text, n, label", [
+    ("(1,1)", 3, 1), ("(1,2,1)(3)", None, 1), ("(1,2)(2,3)", None, 2),
+])
+def test_repeated_cycle_label_is_named_wherever_it_repeats(text, n, label):
+    with pytest.raises(ParseError, match=f"^label {label} appears more than once$"):
+        parse_permutation(text, n=n, implicit_fixed=True)
+
+
 def test_transverse_permutation_counts():
     P = poset_from_relations(4, [(1, 2), (3, 4)])
     perms = list(transverse_permutations(P))

@@ -746,6 +746,18 @@ def test_label_list_empty_field_exit_2(capsys, tmp_path, argv, what):
     assert err.startswith(f"error: empty field in {what} ")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["phi", "--perm", "(1,1)", "--implicit-fixed"], "label 1"),
+    (["phi", "--perm", "(1,2,1)(3)"], "label 1"),
+    (["phi", "--perm", "(1,2)(2,3)"], "label 2"),
+    (["omega-inv", "--partition", "1,1|2"], "element 1"),
+    (["omega-inv", "--partition", "1|1,2"], "element 1"),
+])
+def test_repeated_label_exit_2(capsys, tmp_path, argv, err):
+    argv = ["bij", argv[0], "--poset", poset_file(tmp_path, EX_212)] + argv[1:]
+    assert run(capsys, *argv) == (2, "", f"error: {err} appears more than once\n")
+
+
 @pytest.mark.parametrize("coeffs", ["", " ", "\t"])
 def test_roots_no_coefficient_exit_2(coeffs):
     code, _, err = run_process("roots", coeffs)

@@ -88,6 +88,12 @@ def test_partition_text_round_trip():
     assert parse_partition("") == SetPartition(0, [])
 
 
+@pytest.mark.parametrize("text, n", [("1,1|2", 2), ("1|1,2", None)])
+def test_repeated_element_is_named_wherever_it_repeats(text, n):
+    with pytest.raises(ParseError, match="^element 1 appears more than once$"):
+        parse_partition(text, n=n)
+
+
 @pytest.mark.parametrize("text", [",", " , "])
 def test_partition_without_elements_is_a_parse_error(text):
     with pytest.raises(ParseError):

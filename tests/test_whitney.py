@@ -36,7 +36,13 @@ from posetcones import (
 from posetcones import whitney
 from posetcones.whitney import auto_method
 
-from common import CHAIN_UNIONS, all_labeled_posets, multinomial, packed_kernel_corpus
+from common import (
+    CHAIN_UNIONS,
+    all_labeled_posets,
+    live_cut_lrmax_step,
+    multinomial,
+    packed_kernel_corpus,
+)
 
 
 def poly(*coeffs):
@@ -324,14 +330,47 @@ def test_masked_lrmax_state_matches_unmasked_oracle():
 
 
 @pytest.mark.parametrize("P, most", [
-    (random_poset(14, 0.15, random.Random(2)), 6000),  # 317 384 unmasked
-    (union_of_chains([2] * 5), 2000),  # 7 172 unmasked
-    (grid(4, 5), 1567),
+    # states unmasked and with live_cut_lrmax_step: 317 384 and 5 277,
+    # 7 172 and 1 781, 1 567 and 1 567
+    (random_poset(14, 0.15, random.Random(2)), 4717),
+    (union_of_chains([2] * 5), 1781),
+    (grid(4, 5), 835),
 ])
 def test_masked_lrmax_state_bounds_the_work(monkeypatch, P, most):
     monkeypatch.setattr(whitney, "_extension_dp", _list_extension_dp)
     assert poincare_via_lrmax(P) == poincare_via_transverse(P)
     assert _list_extension_dp.states <= most
+
+
+def test_level_masks_merge_at_least_the_live_cut_states(monkeypatch):
+    monkeypatch.setattr(whitney, "_extension_dp", _list_extension_dp)
+
+    def states(P):
+        """(lrmax polynomial, states) of the level masks, then of the live cut."""
+        got = poincare_via_lrmax(P), _list_extension_dp.states
+        start, step = live_cut_lrmax_step(P)
+        return got, (_list_extension_dp(P.n, P._down, start, step), _list_extension_dp.states)
+
+    for P in packed_kernel_corpus() + tuple(union_of_chains(a) for a in CHAIN_UNIONS):
+        (got, ours), (want, theirs) = states(P)
+        assert got == want and ours <= theirs, P.relations()
+    (got, ours), (want, theirs) = states(grid(4, 5))
+    assert got == want and ours < theirs
+
+
+def test_level_one_reads_every_unplaced_element(monkeypatch):
+    # negative control: with over_prev empty on level one, no element there
+    # is ever an LR maximum, and the oracle comparison sees it
+    corpus = packed_kernel_corpus()
+    want = [_lrmax_oracle(P) for P in corpus]
+    extension_dp = whitney._extension_dp
+
+    def levelless(n, down, start, step):
+        over_cur, _, above = start
+        return extension_dp(n, down, (over_cur, 0, above), step)
+
+    monkeypatch.setattr(whitney, "_extension_dp", levelless)
+    assert any(poincare_via_lrmax(P) != w for P, w in zip(corpus, want))
 
 
 # -- the peel inside poincare(auto) --------------------------------------------
