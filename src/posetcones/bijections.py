@@ -34,7 +34,6 @@ from itertools import permutations, product
 from .errors import (
     IndexOutOfRange,
     NotLinearExtension,
-    NotTransverse,
     ParseError,
 )
 from .partitions import (
@@ -200,7 +199,8 @@ def levels_of_permutation(P: Poset, tau: Permutation):
 def phi(P: Poset, tau: Permutation):
     """Standard-form word: each cycle written from its leading essential
     element, cycles sorted by (level, leading element).  An element is
-    essential on level one, or when it lies above something one level down."""
+    essential on level one, or when it lies above something one level down;
+    the peel sets a cycle on level lv >= 2 only above a level lv - 1 block."""
     cycles = tau.cycles()
     # a failed peel goes on to check_transverse only to word the error
     level, level_masks = (_quotient_peel(P, cycles, tau.n)
@@ -216,8 +216,6 @@ def phi(P: Poset, tau: Permutation):
             for x in cyc:
                 if x > lead and down[x - 1] & below:
                     lead = x
-            if not lead:
-                raise NotTransverse(f"cycle {cyc} has no essential element")
         at = cyc.index(lead)
         keyed.append((lv, lead, cyc[at:] + cyc[:at]))
     # the keys (lv, lead) are distinct, so the words never decide the order
@@ -353,34 +351,27 @@ def omega_inv(P: Poset, d, pi: SetPartition):
     """Rebuild the word with one pointer into each chain.  The chain-1 head
     is free iff the chain-2 head is not below it; a free head goes next,
     after the chain-2 run up to its partner if it has one.  Otherwise the
-    chain-2 head goes next."""
+    chain-2 head goes next.  Once `check_transverse` passes, partners alone
+    decide: a block pairs h on chain 1 with x on chain 2, and a y in the run
+    is not above h (or h < x) and, if paired, its partner h' is placed (and
+    y with it) or h < h' while y < x, a 2-cycle of the quotient.  A chain-2
+    head y below h is unpaired, or its unplaced partner h' >= h has y < h'."""
     check_transverse(P, pi)
-    block_of = {}
-    for blk in pi.blocks:
-        for x in blk:
-            block_of[x] = blk
-    up, down = P._up, P._down
+    partner = {a: b for blk in pi.blocks if len(blk) == 2 for a, b in (blk, blk[::-1])}
+    down = P._down
     p1, p2 = d.p1, d.p2
     i = j = 0
     word = []
     while len(word) < P.n:
         h = p1[i] if i < len(p1) else 0
         if h and (j == len(p2) or not down[h - 1] >> (p2[j] - 1) & 1):
-            blk = block_of[h]
-            if len(blk) == 2:
-                x = blk[0] if blk[1] == h else blk[1]
-                run = p2[j:p2.index(x, j) + 1]
-                for y in run:  # each free, and all but x singletons
-                    if up[h - 1] >> (y - 1) & 1 or y != x and block_of[y] != (y,):
-                        raise NotTransverse(f"block of {y} conflicts with {blk}")
-                word += run
-                j += len(run)
+            if h in partner:
+                k = p2.index(partner[h], j) + 1
+                word += p2[j:k]
+                j = k
             word.append(h)
             i += 1
         else:
-            y = p2[j]
-            if block_of[y] != (y,):
-                raise NotTransverse(f"block of {y} pairs across a level")
-            word.append(y)
+            word.append(p2[j])
             j += 1
     return tuple(word)

@@ -264,8 +264,8 @@ def enumerate_transverse(P: Poset):
     removed minima (`posets._minima_after`).  A child's minima depend on
     the layer set S alone, not on how S is split into blocks, so each state
     computes them once per S.  The walk is depth first on an explicit stack
-    of each level's choices, so its depth is not bounded by the
-    interpreter's recursion limit.
+    of each level's choices, but `_layer_choices` recurses once per minimum,
+    so a state with more minima than the recursion limit raises RecursionError.
     """
     n = P.n
     down = P._down

@@ -52,8 +52,6 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -64,22 +62,15 @@ class IntPolynomial:
             out[i] += c
         return IntPolynomial(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return IntPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([other * c for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -91,8 +82,6 @@ class IntPolynomial:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, x):
         acc = 0

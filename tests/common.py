@@ -469,7 +469,8 @@ def rescan_omega(P: Poset, d, sigma) -> SetPartition:
 def rescan_omega_inv(P: Poset, d, pi: SetPartition):
     """`bijections.omega_inv` walking the minima, `_min_mask` per step:
     paired blocks force the chain-2 run below the partner, then the partner,
-    then the chain-1 minimum."""
+    then the chain-1 minimum.  Its in-loop checks stay, so that as an
+    oracle it does not lean on the argument `omega_inv` drops them by."""
     check_transverse(P, pi)
     block_of = {}
     for blk in pi.blocks:
@@ -549,7 +550,9 @@ def record_psi(P: Poset, sigma) -> Permutation:
 
 def keyed_phi(P: Poset, tau: Permutation):
     """`bijections.phi` on `set_cycles`, each lead the `max` of a generator
-    over the essential letters, the words sorted under nested keys."""
+    over the essential letters, the words sorted under nested keys.  It
+    still raises on a cycle with no essential letter, which `phi` trusts
+    the quotient peel to rule out."""
     cycles = set_cycles(tau)
     level, level_masks = (_quotient_peel(P, cycles, tau.n)
                           or check_transverse(P, tau.cycle_partition()))

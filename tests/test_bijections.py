@@ -38,12 +38,13 @@ from posetcones import (
     random_poset,
     transverse_permutations,
     union_of_chains,
+    width,
 )
 from posetcones import WidthExceeded
 from posetcones.foata import foata_phi_inv
 from posetcones.partitions import check_transverse
 
-from common import quotient_preposet
+from common import all_labeled_posets, quotient_preposet
 
 EX_PHI_RELATIONS = [
     (13, 6), (1, 6), (1, 7), (9, 7), (9, 2), (11, 2),
@@ -263,6 +264,71 @@ def test_omega_inv_rejects_foreign_partitions():
         omega_inv(P, d, SetPartition(4, [(1, 2), (3,), (4,)]))
     with pytest.raises(IndexOutOfRange):
         omega_inv(P, d, SetPartition(3, [(1,), (2,), (3,)]))
+
+
+def _relabeled_width2_posets(count, n_max, seed):
+    """Seeded random posets of width <= 2 under a random relabeling, so
+    that the chains need not run up the labels."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, n_max)
+        P = random_poset(n, rng.choice([0.3, 0.5, 0.8]), rng)
+        if width(P) > 2:
+            continue
+        s = rng.sample(range(1, n + 1), n)
+        out.append(poset_from_relations(n, [(s[i - 1], s[j - 1]) for i, j in P.relations()]))
+    return out
+
+
+def _chain_splits(P):
+    """Every ordered split of 1..n into two chains that `ChainDecomposition`
+    accepts."""
+    for mask in range(1 << P.n):
+        part1 = [x for x in range(1, P.n + 1) if mask >> (x - 1) & 1]
+        part2 = [x for x in range(1, P.n + 1) if not mask >> (x - 1) & 1]
+        try:
+            yield ChainDecomposition(P, part1, part2)
+        except WidthExceeded:
+            pass
+
+
+def _first_broken_round_trip(inverse, posets):
+    """The first (P, d, pi) on which `inverse` returns no linear extension
+    that `omega` maps back to pi, or None."""
+    for P in posets:
+        family = list(enumerate_transverse(P))
+        for d in _chain_splits(P):
+            for pi in family:
+                w = inverse(P, d, pi)
+                if not is_linear_extension(P, w) or omega(P, d, w) != pi:
+                    return P.relations(), d, pi
+    return None
+
+
+def _omega_inv_without_partners(P, d, pi):
+    """`omega_inv` with the runs to each partner left out: it writes the
+    chains in the same order whatever the pairs of pi."""
+    down = P._down
+    p1, p2 = d.p1, d.p2
+    i = j = 0
+    word = []
+    while len(word) < P.n:
+        if i < len(p1) and (j == len(p2) or not down[p1[i] - 1] >> (p2[j] - 1) & 1):
+            word.append(p1[i])
+            i += 1
+        else:
+            word.append(p2[j])
+            j += 1
+    return tuple(word)
+
+
+def test_omega_inv_inverts_omega_on_every_split_and_transverse_partition():
+    # no check inside the walk: after check_transverse the partners decide
+    posets = [P for n in range(6) for P in all_labeled_posets(n) if width(P) <= 2]
+    posets += _relabeled_width2_posets(300, 7, seed=27)
+    assert _first_broken_round_trip(omega_inv, posets) is None
+    assert _first_broken_round_trip(_omega_inv_without_partners, posets) is not None
 
 
 # -- the mask core against per-pair versions ------------------------------------

@@ -10,7 +10,9 @@ import time
 import pytest
 
 import posetcones
-from posetcones import IntPolynomial, bijections, cli, random_poset, whitney
+from posetcones import (
+    IntPolynomial, antichain, bijections, chain, cli, random_poset, whitney,
+)
 from posetcones.cli import _incomparable_pairs, build_parser, main
 
 EX_211 = "n 4\nrel 3 4\n"
@@ -850,6 +852,59 @@ def test_selfcheck_catches_planted_bijection_corruption(capsys, monkeypatch):
     for line in fails:
         assert "(n=4," in line and ": phi(psi(w)) != w for (" in line
     assert out.splitlines()[-1] == "FAIL"
+
+
+# seed 6, one trial, n <= 3: the poset 2 < 3 with 1 apart, Poin = 1 + 2t
+PLANT_ARGV = ("selfcheck", "--n-max", "3", "--trials", "1", "--seed", "6")
+PLANT_TAG = "trial 0 (n=3, p=0.2)"
+
+
+def _plus_t2(route, n=None):
+    """`route` with t^2 added to its answer, only on n points if n is given."""
+    return lambda P, *rest: (route(P, *rest) + IntPolynomial([0, 0, 1])
+                             if n in (None, P.n) else route(P, *rest))
+
+
+def _fused_chain_union(real):
+    """`union_of_chains` with the two one-point chains fused into a chain."""
+    return lambda a: chain(2) if a == [1, 1] else real(a)
+
+
+@pytest.mark.parametrize("plant, want, summary", [
+    (lambda mp: mp.setattr(cli, "opposite", lambda P: antichain(P.n)),
+     f"{PLANT_TAG}: dual polynomial differs at t^1: 2 vs 3", "duality: 1 posets"),
+    (lambda mp: mp.setattr(whitney, "poincare_via_width2",
+                           _plus_t2(whitney.poincare_via_width2)),
+     f"{PLANT_TAG}: width2 polynomial differs at t^2: 0 vs 1", "width2 agreement: 1 posets"),
+    (lambda mp: mp.setattr(bijections, "omega_inv",
+                           lambda P, d, pi: tuple(range(P.n, 0, -1))),
+     f"{PLANT_TAG}: omega round trip broke for (1, 2, 3)", "width2 agreement: 1 posets"),
+    (lambda mp: mp.setattr(whitney, "poincare_via_lrmax",
+                           _plus_t2(whitney.poincare_via_lrmax, 6)),
+     "stirling row n=6 check failed", "stirling row n=6: FAILED"),
+    (lambda mp: mp.setattr(whitney, "union_of_chains",
+                           _fused_chain_union(whitney.union_of_chains)),
+     "chains generating function mismatch at ell=2, cap=5", "chains gf ell=2 cap=5: 20/21 match"),
+], ids=["duality", "width2", "omega", "stirling", "chains_gf"])
+def test_selfcheck_names_each_planted_fault(capsys, monkeypatch, plant, want, summary):
+    plant(monkeypatch)
+    code, out, _ = run(capsys, *PLANT_ARGV)
+    lines = out.splitlines()
+    assert summary in lines
+    assert [line for line in lines if line.startswith("FAIL ")] == ["FAIL " + want]
+    assert (code, lines[-1]) == (4, "FAIL")
+
+
+def test_genfun_verify_counts_planted_mismatches(capsys, monkeypatch):
+    monkeypatch.setattr(whitney, "union_of_chains",
+                        _fused_chain_union(whitney.union_of_chains))
+    code, out, _ = run(capsys, "genfun", "verify", "--ell", "2", "--degree", "2")
+    lines = out.splitlines()
+    assert [line for line in lines if line.endswith(" MISMATCH")] == ["1,1 : 1 + t : MISMATCH"]
+    assert (code, lines[-1]) == (4, "MISMATCHES: 1/6")
+    code, out, _ = run(capsys, "genfun", "verify", "--ell", "2", "--degree", "2",
+                       "--machine")
+    assert code == 4 and "1,1 : 1 1 : MISMATCH" in out.splitlines()
 
 
 def test_cli_import_starts_no_process_machinery():

@@ -58,6 +58,10 @@ def test_construction_and_support():
         MultisetPermutation.from_rows([1, 2], [1, 1])
     with pytest.raises(SupportMismatch):
         MultisetPermutation.from_word([2, 1], support=[2, 1])
+    # a word over fewer letters than the support is padded with zero counts
+    with pytest.raises(SupportMismatch,
+                       match=r"^support \(1, 1, 0\) differs from required \(1, 1, 1\)$"):
+        multiset_decode((1, 1, 1), MultisetPermutation.from_word([1, 2]))
 
 
 def test_text_forms():
@@ -222,6 +226,8 @@ def test_foata_phi_is_a_bijection_with_statistic_transport():
         assert image == set(transverse_permutations(P))
     with pytest.raises(NotTransverse):
         foata_phi_inv((2, 2), Permutation([2, 1, 3, 4]))
+    with pytest.raises(IndexOutOfRange, match="^permutation size 3 differs from 4$"):
+        foata_phi_inv((2, 2), Permutation([1, 2, 3]))
 
 
 def test_single_chain_collapses():

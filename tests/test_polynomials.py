@@ -33,6 +33,21 @@ def test_arithmetic():
     assert (-p).coeffs == (-1, -1)
 
 
+@pytest.mark.parametrize("op", [
+    lambda p: p + 1, lambda p: 1 + p, lambda p: p - 1,
+    lambda p: 1 - p, lambda p: 2 * p, lambda p: p * 2,
+], ids=["p+1", "1+p", "p-1", "1-p", "2*p", "p*2"])
+def test_arithmetic_takes_polynomial_operands_only(op):
+    with pytest.raises(TypeError):
+        op(IntPolynomial([1, 1]))
+
+
+def test_equality_still_reads_an_int_as_a_constant():
+    assert IntPolynomial([1]) == 1
+    assert IntPolynomial.zero() == 0
+    assert IntPolynomial([1, 1]) != 1
+
+
 def test_evaluation_is_exact_on_big_integers():
     p = IntPolynomial([10**30, 0, 1])
     assert p(10**15) == 2 * 10**30

@@ -61,6 +61,10 @@ def test_closure_and_errors():
         poset_from_relations(3, [(1, 4)])
     with pytest.raises(IndexOutOfRange):
         poset_from_relations(2, [(0, 1)])
+    with pytest.raises(IndexOutOfRange, match="^n must be nonnegative$"):
+        poset_from_relations(-1, [])
+    with pytest.raises(CycleDetected, match="^self-relation at 1$"):
+        poset_from_relations(2, [(1, 1)])
     assert poset_from_relations(3, []).relations() == []
     assert poset_from_relations(2, [(1, 2), (1, 2)]).relations() == [(1, 2)]
 
