@@ -29,7 +29,7 @@ along a cycle of a block of a partition of 1..n.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 
 from .errors import (
     IndexOutOfRange,
@@ -175,17 +175,32 @@ def parse_permutation(text: str, n=None, implicit_fixed=False) -> Permutation:
 
 def transverse_permutations(P: Poset):
     """All permutations whose cycle partition is transverse to P; grouped by
-    partition, cyclic arrangements in lex order of the rotated tail."""
+    partition, cyclic arrangements in lex order of the rotated tail.
+
+    Each block's `permutations` iterator over its tail is one wheel of an
+    odometer; the wheels turn with the last block fastest, as `product`
+    would, so no block's (|B|-1)! arrangements are stored."""
     for pi in enumerate_transverse(P):
-        per_block = [[blk[:1] + tail for tail in permutations(blk[1:])] for blk in pi.blocks]
-        for combo in product(*per_block):
+        wheels = [permutations(blk[1:]) for blk in pi.blocks]
+        tails = [next(wheel) for wheel in wheels]
+        while True:
             images = [0] * (P.n + 1)  # slot 0 unused
-            for cyc in combo:
-                prev = cyc[-1]
-                for x in cyc:
+            for blk, tail in zip(pi.blocks, tails):
+                prev = blk[0]
+                for x in tail:
                     images[prev] = x
                     prev = x
+                images[prev] = blk[0]
             yield Permutation._built(images[1:])
+            for i in range(len(wheels) - 1, -1, -1):
+                tail = next(wheels[i], None)
+                if tail is not None:
+                    tails[i] = tail
+                    break
+                wheels[i] = permutations(pi.blocks[i][1:])
+                tails[i] = next(wheels[i])
+            else:
+                break
 
 
 def levels_of_permutation(P: Poset, tau: Permutation):

@@ -211,40 +211,40 @@ def _layer_choices(min_mask, forbidden, up=(), targets=0):
 
     Yields (S_mask, blocks), blocks a tuple of ascending label tuples, one
     choice at a time, so a stream over the choices starts at once.
+
+    The walk pops frames (idx, S, targets, short, blocks) off one stack; a
+    block is a (labels, mask) pair and no frame is changed, so siblings
+    share the blocks they leave alone.  The frame deciding minimum v pushes
+    v in a new block, v joining each block from the last to the first, and
+    v left out, so they pop in the reverse order: leaving v out first, then
+    joining the earliest block, and a new block last.
     """
     elems = list(_bits(min_mask))
     free_left = [0] * (len(elems) + 1)  # free vertices at positions >= idx
     for idx in range(len(elems) - 1, -1, -1):
         free_left[idx] = free_left[idx + 1] + (not forbidden >> elems[idx] & 1)
-    blocks = []
-    masks = []
-
-    def rec(idx, s, targets, short):
+    stack = [(0, 0, targets, 0, ())]
+    while stack:
+        idx, s, targets, short, blocks = stack.pop()
         if short > free_left[idx]:
-            return
+            continue
         if idx == len(elems):
-            yield s, tuple(map(tuple, blocks))
-            return
+            yield s, tuple(labels for labels, _ in blocks)
+            continue
         v = elems[idx]
         bit = 1 << v
         free = not forbidden & bit
+        stack.append((idx + 1, s | bit, targets, short + (not free),
+                      blocks + (((v + 1,), bit),)))
+        for b in range(len(blocks) - 1, -1, -1):
+            labels, mask = blocks[b]
+            joined = (labels + (v + 1,), mask | bit)
+            stack.append((idx + 1, s | bit, targets,
+                          short - (free and not mask & ~forbidden),
+                          blocks[:b] + (joined,) + blocks[b + 1:]))
         kept = targets & ~up[v] if targets else 0
         if kept:
-            yield from rec(idx + 1, s, kept, short)  # leave v out of the layer
-        for b in range(len(blocks)):
-            fills = free and not masks[b] & ~forbidden
-            blocks[b].append(v + 1)
-            masks[b] |= bit
-            yield from rec(idx + 1, s | bit, targets, short - fills)
-            masks[b] ^= bit
-            blocks[b].pop()
-        blocks.append([v + 1])
-        masks.append(bit)
-        yield from rec(idx + 1, s | bit, targets, short + (not free))
-        masks.pop()
-        blocks.pop()
-
-    return rec(0, 0, targets, 0)
+            stack.append((idx + 1, s, kept, short, blocks))  # leave v out of the layer
 
 
 def enumerate_transverse(P: Poset):
@@ -264,8 +264,9 @@ def enumerate_transverse(P: Poset):
     removed minima (`posets._minima_after`).  A child's minima depend on
     the layer set S alone, not on how S is split into blocks, so each state
     computes them once per S.  The walk is depth first on an explicit stack
-    of each level's choices, but `_layer_choices` recurses once per minimum,
-    so a state with more minima than the recursion limit raises RecursionError.
+    of each level's choices, which carry the blocks taken above them, and
+    `_layer_choices` keeps a stack of its own, so no recursion limit bounds
+    the number of levels or of minima.
     """
     n = P.n
     down = P._down
@@ -273,8 +274,9 @@ def enumerate_transverse(P: Poset):
     cover = _cover_rows(down)
     full = (1 << n) - 1
 
-    def choices(alive, forbidden, mm):
-        """The layers of a state, each with the state it leaves."""
+    def choices(alive, forbidden, mm, taken):
+        """The layers of a state after the blocks `taken` above it, each
+        with the state it leaves."""
         targets = _minima_after(mm, mm, alive & ~mm, down, cover)
         minima = {}  # S -> minima of alive - S
         for s_mask, blocks in _layer_choices(mm, forbidden, up, targets):
@@ -282,22 +284,19 @@ def enumerate_transverse(P: Poset):
             after = minima.get(s_mask)
             if after is None:
                 after = minima[s_mask] = _minima_after(mm, s_mask, rest, down, cover)
-            yield blocks, rest, mm & ~s_mask, after
+            yield taken + blocks, rest, mm & ~s_mask, after
 
-    stack = [choices(full, 0, _min_mask(down, full))]
-    layers = []  # the blocks taken on each level below the top of the stack
+    stack = [choices(full, 0, _min_mask(down, full), ())]
     while stack:
         step = next(stack[-1], None)
-        del layers[len(stack) - 1:]
         if step is None:
             stack.pop()
             continue
         blocks, rest, forbidden, after = step
-        layers.append(blocks)
         if rest:
-            stack.append(choices(rest, forbidden, after))
+            stack.append(choices(rest, forbidden, after, blocks))
         else:
-            yield SetPartition._built(n, [b for layer in layers for b in layer])
+            yield SetPartition._built(n, blocks)
 
 
 def transverse_poly_coeffs(P: Poset):

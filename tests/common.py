@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import factorial
 from operator import gt, sub
 
@@ -427,6 +427,21 @@ def rescan_enumerate_transverse(P: Poset):
 
     for blocks in rec((1 << n) - 1, 0):
         yield SetPartition(n, blocks)
+
+
+def product_transverse_permutations(P: Poset):
+    """`bijections.transverse_permutations` listing every block's cyclic
+    arrangements before `product` combines them."""
+    for pi in enumerate_transverse(P):
+        per_block = [[blk[:1] + tail for tail in permutations(blk[1:])] for blk in pi.blocks]
+        for combo in product(*per_block):
+            images = [0] * (P.n + 1)  # slot 0 unused
+            for cyc in combo:
+                prev = cyc[-1]
+                for x in cyc:
+                    images[prev] = x
+                    prev = x
+            yield Permutation(images[1:])
 
 
 def rescan_omega(P: Poset, d, sigma) -> SetPartition:

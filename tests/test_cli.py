@@ -613,6 +613,14 @@ def test_foata_unknown_option_is_still_unrecognized(capsys, argv, extra):
     assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {extra}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["phi", "--support", "1,-1", "--word", "1"],
+    ["decompose", "1,2", "--support", "1,-1"],
+], ids=["phi", "decompose"])
+def test_foata_negative_multiplicity_exit_2(capsys, argv):
+    assert run(capsys, "foata", *argv) == (2, "", "error: negative multiplicity in '1,-1'\n")
+
+
 def test_foata_argument_checks(capsys):
     for argv, missing in [
         (["decompose"], "array"),
@@ -697,6 +705,14 @@ def test_table_small_rows(capsys):
     out, err = usage_error(capsys, "table", "--n-max", "1")
     assert out == ""
     assert err.endswith("error: argument --n-max: must be at least 2\n")
+
+
+def test_table_past_n_8_warns_on_stderr_only(capsys):
+    code, out, err = run(capsys, "table", "--n-max", "9", "--machine")
+    assert (code, err) == (0, "warning: rows beyond n=8 grow quickly\n")
+    rows = out.splitlines()
+    assert [row.split(":")[0] for row in rows] == [str(n) for n in range(2, 10)]
+    assert rows[:3] == ["2: 1 3 1", "3: 1 9 19 11 2", "4: 1 18 92 174 133 40 4"]
 
 
 def test_roots(capsys):

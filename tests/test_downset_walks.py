@@ -69,6 +69,7 @@ from common import (
     descending_runs_poly,
     keyed_phi,
     kuhn_chain_cover,
+    product_transverse_permutations,
     record_psi,
     rescan_count_linear_extensions,
     rescan_enumerate_transverse,
@@ -175,7 +176,8 @@ STREAM_CAP = 500  # antichain 10 has 10! extensions and Bell(10) partitions
 @pytest.mark.parametrize("stream, oracle", [
     (linear_extensions, rescan_linear_extensions),
     (enumerate_transverse, rescan_enumerate_transverse),
-], ids=["linear_extensions", "enumerate_transverse"])
+    (transverse_permutations, product_transverse_permutations),
+], ids=["linear_extensions", "enumerate_transverse", "transverse_permutations"])
 def test_streams_match_rescan_oracles_in_order(stream, oracle):
     for P in walk_corpus():
         got = list(islice(stream(P), STREAM_CAP))
@@ -453,6 +455,11 @@ def test_sweeps_need_no_recursion_depth():
     assert poincare(P) == one
     for stream in (linear_extensions, enumerate_transverse, transverse_permutations):
         assert sum(1 for _ in stream(P)) == 1, stream.__name__
+    # an antichain that wide is one state whose layer choices decide one
+    # minimum per step; the first choice puts every point in one block
+    A = antichain(P.n)
+    assert next(enumerate_transverse(A)) == SetPartition(A.n, [tuple(range(1, A.n + 1))])
+    assert next(transverse_permutations(A)) == Permutation(list(range(2, A.n + 1)) + [1])
 
 
 def test_self_referencing_walk_keeps_its_memo():

@@ -279,8 +279,7 @@ def test_planted_unchecked_build_is_flagged():
 # the only nested functions that call themselves; a memo walk written as a
 # recursive closure holds its memo in a reference cycle and is bounded by
 # the recursion limit, so a new one must be added here on purpose
-RECURSIVE_CLOSURES = [("partitions.py", "_layer_choices.rec"),
-                      ("partitions.py", "transverse_poly_coeffs.rec"),
+RECURSIVE_CLOSURES = [("partitions.py", "transverse_poly_coeffs.rec"),
                       ("posets.py", "_matching_chain_cover.try_augment")]
 
 

@@ -9,6 +9,7 @@ from posetcones import (
     IntPolynomial,
     NotTransverse,
     ParseError,
+    Permutation,
     SetPartition,
     antichain,
     chain,
@@ -298,6 +299,20 @@ def test_enumeration_streams_its_first_partition_at_once():
     finally:
         tracemalloc.stop()
     assert first == SetPartition(10, [tuple(range(1, 11))])
+    assert peak < 1 << 20, peak
+
+
+def test_transverse_permutations_stream_their_first_permutation_at_once():
+    # the first partition of antichain 10 is one block, whose 9! = 362 880
+    # cyclic arrangements peak near 48 MB if they are listed before the
+    # first yield
+    tracemalloc.start()
+    try:
+        first = next(transverse_permutations(antichain(10)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == Permutation(list(range(2, 11)) + [1])
     assert peak < 1 << 20, peak
 
 

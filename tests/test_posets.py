@@ -366,6 +366,8 @@ def test_parse_errors_carry_line_numbers():
         parse_poset("n -1\n")
     with pytest.raises(ParseError):
         parse_poset("")
+    with pytest.raises(ParseError, match=r"^line 3: duplicate n line$"):
+        parse_poset("n 2\n# again\nn 2\n")
     # one integer grammar: no `_` separators, no non-ASCII digits
     for text, line in (("n 12\nrel 1_0 2\n", 2), ("n 4\nrel 1 \u0664\n", 2),
                        ("# c\nn \u0661\n", 2), ("n 3\nrel 1,2\n", 2)):
