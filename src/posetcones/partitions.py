@@ -24,7 +24,12 @@ T of minimal blocks with sign (-1)^(|T|+1), which totals 1, each T covers
 some S within min A and leaves a transverse partition of A - S; the
 partitions of S, each weighted (-1)^(#blocks-1) prod (|B|-1)! t^(|B|-1),
 sum to w_|S|.  On an antichain A the recursion closes to
-f(A) = prod_{j<|A|} (1 + j t).
+f(A) = prod_{j<|A|} (1 + j t).  More generally, a minimum x of A that is
+maximal in P is comparable to nothing in A, so Terao's factorization, the
+peel of `whitney._fibre_peel` with k = |A| - 1, gives
+f(A) = (1 + (|A| - 1) t) f(A - x); A - x is an up-set with minima
+min A - x, since x covers nothing.  An antichain is the case where every
+point of A is such a minimum.
 
 Unrolled, Poin(P) sums prod_i w_{|f^-1(i)|} over the strictly
 order-preserving surjections f: P -> [m].  That is phi(Gamma(P)), where
@@ -304,13 +309,16 @@ def transverse_poly_coeffs(P: Poset):
     partitions having n - d blocks, by the signed recursion of the module
     docstring, memoized on the up-set alone.
 
-    A state sums its children's values by layer size and multiplies each
-    size's sum once by w_k.  An antichain is one state: it gets
-    prod (1 + j t) on sight and takes no layer.  Each call carries the
-    minima of its up-set, and a child is looked up in the memo before it is
-    called, so a memo hit costs no call and no minima; a child's minima are
-    the untaken minima plus the covers of S whose down rows miss it
-    (`posets._minima_after`).  Values are packed at t = 2^w as the module
+    A state first closes its minima that are maximal in P: with i of them
+    it is f(A without them) times prod_{|A|-i <= j < |A|} (1 + j t) and
+    takes no layer, so an antichain is one state.  Any other state sums its
+    children's values by layer size and multiplies each size's sum once by
+    w_k, the weights grown only to the widest state summed.  Each call
+    carries the minima of its up-set, and a child is looked up in the memo
+    before it is called, so a memo hit costs no call and no minima; a
+    child's minima are the untaken minima plus the covers of S whose down
+    rows miss it (`posets._minima_after`), while closing leaves the other
+    minima as they were.  Values are packed at t = 2^w as the module
     docstring says.
     """
     n = P.n
@@ -318,16 +326,19 @@ def transverse_poly_coeffs(P: Poset):
     cover = _cover_rows(down)
     w = slot_width(n)
     full = (1 << n) - 1
+    maxes = sum(1 << x for x in range(n) if not P._up[x])
     weight = [0, 1]  # weight[k] = w_k at t = 2^w
-    free = [1, 1]    # free[k] = prod_{j<k} (1 + j t) at t = 2^w
-    for j in range(1, n):
-        weight.append(weight[-1] * ((j << w) - 1))
-        free.append(free[-1] * ((j << w) + 1))
     memo = {0: 1}
 
     def rec(alive, mm):
-        if mm == alive:
-            acc = free[alive.bit_count()]
+        iso = mm & maxes
+        if iso:
+            rest = alive & ~iso
+            acc = memo.get(rest)
+            if acc is None:
+                acc = rec(rest, mm & ~iso)
+            for j in range(rest.bit_count(), alive.bit_count()):
+                acc *= (j << w) + 1
         else:
             sums = [0] * (mm.bit_count() + 1)
             s = mm
@@ -338,6 +349,8 @@ def transverse_poly_coeffs(P: Poset):
                     tail = rec(rest, _minima_after(mm, s, rest, down, cover))
                 sums[s.bit_count()] += tail
                 s = (s - 1) & mm
+            while len(weight) < len(sums):
+                weight.append(weight[-1] * (((len(weight) - 1) << w) - 1))
             acc = 0
             for k in range(1, len(sums)):
                 acc += weight[k] * sums[k]
@@ -345,6 +358,6 @@ def transverse_poly_coeffs(P: Poset):
         return acc
 
     try:
-        return unpack_slots(rec(full, _min_mask(down, full)), w)
+        return unpack_slots(rec(full, _min_mask(down, full)) if n else 1, w)
     finally:
         del rec  # rec refers to itself: without this the memo outlives the call

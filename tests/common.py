@@ -134,6 +134,8 @@ def signed_upset_poly(P: Poset):
     cover a set S within min A, the rest is a transverse partition of A - S,
     and summing (-1)^(#blocks-1) prod (|B|-1)! t^(|B|-1) over the partitions
     of S gives prod_{j=1}^{|S|-1} (j t - 1), the weight below.
+
+    It keeps no isolated-minimum closure: only a whole antichain closes.
     """
     n = P.n
     down = P._down
@@ -267,7 +269,7 @@ def rescan_transverse_poly_coeffs(P):
     minima multiplies its tail by `layer_weight(a, f)`, and a state whose
     minima are all forbidden contributes zero.  Values are packed w =
     slot_width(n) bits per coefficient; they are nonnegative and sum to at
-    most n!, so no slot carries.
+    most n!, so no slot carries.  It closes no isolated minimum on sight.
     """
     n = P.n
     down = P._down

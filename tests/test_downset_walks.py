@@ -478,13 +478,25 @@ def test_rescan_oracle_scans_once_per_state(monkeypatch):
     (antichain(16), 0),
     (grid(4, 6), 208),
     (grid(5, 6), 460),
-    (union_of_chains([2] * 9), 19681),
-], ids=["antichain-12", "antichain-16", "grid-4x6", "grid-5x6", "chains-2x9"])
+    (union_of_chains([2] * 9), 19171),
+    (random_poset(19, 0.02, random.Random(1)), 24),
+], ids=["antichain-12", "antichain-16", "grid-4x6", "grid-5x6", "chains-2x9", "sparse-19"])
 def test_transverse_dp_steps_no_dead_antichain_child(monkeypatch, P, want):
-    # the DP is memoized on the up-set alone and derives each state's minima
-    # once, when it first reaches it: one step per up-set other than P and
-    # the empty set (210, 462 and 3^9 up-sets); an antichain is one state,
-    # closed on sight, so it needs no step at all
+    # the DP is memoized on the up-set alone and steps once to each up-set
+    # it reaches through a layer, deriving that up-set's minima: a state
+    # whose minima hold a maximal point of P closes those points on sight
+    # and steps nowhere, so only states with no such minimum step.  Grids
+    # have one maximum, reached only as a state's sole minimum: one step
+    # per up-set other than P and the empty set (210 and 462 up-sets).  In
+    # nine 2-chains, a chain cut to its top is such a minimum, so only the
+    # states whose chains are all whole or gone step: one with a whole
+    # chains steps to its 2^a - 1 children, each an up-set no other state
+    # steps to, in all sum_a C(9, a) (2^a - 1) = 3^9 - 2^9 = 19 171 steps
+    # (3^9 - 2 = 19 681, every up-set but P and the empty set, without the
+    # closure).  An antichain is one state closed on sight: no step at all.
+    # The sparse poset has 12 isolated points among its 16 minima: without
+    # the closure its first state alone sums 2^16 layer sets, and the DP
+    # ran for about a minute.
     calls = []
     step = partitions._minima_after
 

@@ -35,6 +35,7 @@ from posetcones.partitions import (
     check_transverse,
     transverse_poly_coeffs,
 )
+from posetcones.polynomials import stirling_first_kind_row
 from posetcones.posets import _bits
 from posetcones.whitney import poincare_via_transverse
 
@@ -497,6 +498,27 @@ def test_packed_dp_slots_at_antichain_boundary():
         got = transverse_poly_coeffs(antichain(n))
         assert got == list(want.coeffs), n
         assert sum(got) == factorial(n)
+
+
+def test_dp_answers_one_on_the_empty_poset():
+    # the empty up-set is the memo's seed, and no state may overwrite it
+    assert transverse_poly_coeffs(antichain(0)) == [1]
+    assert poincare_via_transverse(antichain(0)).coeffs == (1,)
+
+
+def test_dp_weights_grow_only_to_the_widest_state():
+    # each state of a chain has one minimum, so no weight past w_1 is
+    # needed; weight tables built to degree n - 1 peaked at 59 MB here
+    P = chain(400)
+    tracemalloc.start()
+    try:
+        got = transverse_poly_coeffs(P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == [1]
+    assert peak < 1 << 20, peak
+    assert transverse_poly_coeffs(antichain(200)) == stirling_first_kind_row(200)[:0:-1]
 
 
 def test_packed_dp_on_chain_unions_sums_to_multinomial():
