@@ -145,8 +145,6 @@ def permutation_to_text(p: Permutation, cycles: bool = False) -> str:
 def parse_permutation(text: str, n=None, implicit_fixed=False) -> Permutation:
     """`[3,1,2]` or bare `3,1,2` one-line; `(1,3)(2)` cycle form."""
     s = text.strip()
-    if not s or s == "()" or s == "[]":
-        return Permutation(())
     if s.startswith("("):
         cycles = []
         rest = s

@@ -263,6 +263,8 @@ def cmd_roots(args):
 
 
 def cmd_selfcheck(args):
+    if args.n_max > SIZE_GUARD:  # as poin refuses a poset file past the guard
+        raise ParseError(f"n-max {args.n_max} exceeds the size guard {SIZE_GUARD}")
     rng = random.Random(args.seed)
     probs = [round(0.1 * k, 1) for k in range(1, 10)]
     fails = []

@@ -11,6 +11,8 @@ nothing is alive or some minimum is free: taking every minimum, each
 forbidden one in a block with a free one, leaves nothing forbidden.  So a
 layer S is worth taking iff S is all of min(P) or S holds every minimum below
 some element of the next level, and the enumeration expands no other.
+It is depth first on one stack of frames, each deciding one minimum of one
+layer, so the order of the family is that of the recursion over layers.
 
 The weighted count behind the cone polynomial needs no blocks at all.
 Over the up-sets A of P, with f(empty) = 1,
@@ -66,7 +68,7 @@ from math import factorial
 
 from .errors import IndexOutOfRange, NotTransverse, ParseError
 from .polynomials import parse_int_list, slot_width, unpack_slots
-from .posets import SIZE_GUARD, Poset, _bits, _cover_rows, _min_mask, _minima_after
+from .posets import SIZE_GUARD, Poset, _cover_rows, _min_mask, _minima_after
 
 
 class SetPartition:
@@ -201,107 +203,72 @@ def check_transverse(P: Poset, pi: SetPartition):
 
 # -- layered enumeration ------------------------------------------------------
 
-def _layer_choices(min_mask, forbidden, up=(), targets=0):
-    """Partitions of each nonempty subset S of min_mask whose blocks all
-    contain at least one vertex outside `forbidden` and after which the
-    enumeration can go on.
-
-    `targets` are the minima of what lies above the layer (bit rows `up`).
-    Taking S leaves a state with a free minimum iff S is all of min_mask or
-    S holds every minimum below some target, so leaving a vertex out of the
-    layer drops the targets above it, and a branch ends once none is left.
-    With no targets the layer is all that is alive and S = min_mask.  A
-    branch also ends when it holds more forbidden-only blocks than free
-    vertices remain to join them.
-
-    Yields (S_mask, blocks), blocks a tuple of ascending label tuples, one
-    choice at a time, so a stream over the choices starts at once.
-
-    The walk pops frames (idx, S, targets, short, blocks) off one stack; a
-    block is a (labels, mask) pair and no frame is changed, so siblings
-    share the blocks they leave alone.  The frame deciding minimum v pushes
-    v in a new block, v joining each block from the last to the first, and
-    v left out, so they pop in the reverse order: leaving v out first, then
-    joining the earliest block, and a new block last.
-    """
-    elems = list(_bits(min_mask))
-    free_left = [0] * (len(elems) + 1)  # free vertices at positions >= idx
-    for idx in range(len(elems) - 1, -1, -1):
-        free_left[idx] = free_left[idx + 1] + (not forbidden >> elems[idx] & 1)
-    stack = [(0, 0, targets, 0, ())]
-    while stack:
-        idx, s, targets, short, blocks = stack.pop()
-        if short > free_left[idx]:
-            continue
-        if idx == len(elems):
-            yield s, tuple(labels for labels, _ in blocks)
-            continue
-        v = elems[idx]
-        bit = 1 << v
-        free = not forbidden & bit
-        stack.append((idx + 1, s | bit, targets, short + (not free),
-                      blocks + (((v + 1,), bit),)))
-        for b in range(len(blocks) - 1, -1, -1):
-            labels, mask = blocks[b]
-            joined = (labels + (v + 1,), mask | bit)
-            stack.append((idx + 1, s | bit, targets,
-                          short - (free and not mask & ~forbidden),
-                          blocks[:b] + (joined,) + blocks[b + 1:]))
-        kept = targets & ~up[v] if targets else 0
-        if kept:
-            stack.append((idx + 1, s, kept, short, blocks))  # leave v out of the layer
-
-
 def enumerate_transverse(P: Poset):
     """All partitions transverse to P, streamed without storing the family.
 
-    Level walk: a block is removable iff it sits inside min(P); blocks made
-    only of minima left behind at the previous level can never become a
-    deeper level's block, so they are forbidden, which kills double counting.
+    The level walk of the module docstring.  A layer decides the minima mm
+    of its state one at a time, lowest label first.  Leaving a minimum out
+    drops the targets, the minima of alive - mm, above it; a branch with no
+    target left must take every remaining minimum, and one holding more
+    forbidden-only blocks than free minima remain to join them ends, so no
+    branch of the walk is dead.
 
-    A state (alive, forbidden) has a completion iff alive is empty or some
-    minimum is free: taking every minimum, each forbidden one in a block with
-    a free one, leaves nothing forbidden.  `_layer_choices` keeps only the
-    layers that lead to such a state, so no branch of the walk is dead.
-
-    Each state carries the minima mm of alive; the targets (the minima of
-    alive - mm) and a child's minima come from mm and the covers of the
-    removed minima (`posets._minima_after`).  A child's minima depend on
-    the layer set S alone, not on how S is split into blocks, so each state
-    computes them once per S.  The walk is depth first on an explicit stack
-    of each level's choices, which carry the blocks taken above them, and
-    `_layer_choices` keeps a stack of its own, so no recursion limit bounds
-    the number of levels or of minima.
+    The walk pops frames (left, S, targets, short, blocks, state) off one
+    stack: the minima still to decide, the layer so far, the targets still
+    reachable, the count of forbidden-only blocks, the layer's blocks as
+    (labels, mask) pairs, and the record of the state, (alive, forbidden,
+    mm, the labels taken above it, and a cache from S to the minima of
+    alive - S), which its frames share.  No frame is changed, so siblings
+    share what they leave alone.  The frame deciding minimum v pushes v in
+    a new block, v joining each block from the last to the first, and v
+    left out, so they pop in the reverse order.  A finished layer yields
+    its partition if it leaves nothing alive, and otherwise pushes the
+    child's first frame above its siblings, so the child's partitions come
+    first.  A child's minima depend on S alone, not on how S is split into
+    blocks, so a state derives its targets once and the minima after each
+    S that leaves something alive once (`posets._minima_after`).  No
+    recursion limit bounds the number of levels or of minima.
     """
     n = P.n
     down = P._down
     up = P._up
     cover = _cover_rows(down)
     full = (1 << n) - 1
-
-    def choices(alive, forbidden, mm, taken):
-        """The layers of a state after the blocks `taken` above it, each
-        with the state it leaves."""
-        targets = _minima_after(mm, mm, alive & ~mm, down, cover)
-        minima = {}  # S -> minima of alive - S
-        for s_mask, blocks in _layer_choices(mm, forbidden, up, targets):
-            rest = alive & ~s_mask
-            after = minima.get(s_mask)
-            if after is None:
-                after = minima[s_mask] = _minima_after(mm, s_mask, rest, down, cover)
-            yield taken + blocks, rest, mm & ~s_mask, after
-
-    stack = [choices(full, 0, _min_mask(down, full), ())]
+    mm = _min_mask(down, full)
+    targets = _minima_after(mm, mm, full & ~mm, down, cover)
+    stack = [(mm, 0, targets, 0, (), (full, 0, mm, (), {}))]
     while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
+        left, s, targets, short, blocks, state = stack.pop()
+        alive, forbidden, mm, taken, minima = state
+        if short > (left & ~forbidden).bit_count():
             continue
-        blocks, rest, forbidden, after = step
-        if rest:
-            stack.append(choices(rest, forbidden, after, blocks))
-        else:
-            yield SetPartition._built(n, blocks)
+        if left:
+            bit = left & -left
+            left ^= bit
+            label = bit.bit_length()
+            free = not forbidden & bit
+            stack.append((left, s | bit, targets, short + (not free),
+                          blocks + (((label,), bit),), state))
+            for b in range(len(blocks) - 1, -1, -1):
+                labels, mask = blocks[b]
+                joined = (labels + (label,), mask | bit)
+                stack.append((left, s | bit, targets,
+                              short - (free and not mask & ~forbidden),
+                              blocks[:b] + (joined,) + blocks[b + 1:], state))
+            kept = targets & ~up[label - 1]
+            if kept:
+                stack.append((left, s, kept, short, blocks, state))  # leave this minimum out
+            continue
+        taken += tuple(labels for labels, _ in blocks)
+        rest = alive & ~s
+        if not rest:
+            yield SetPartition._built(n, taken)
+            continue
+        after = minima.get(s)
+        if after is None:
+            after = minima[s] = _minima_after(mm, s, rest, down, cover)
+        targets = _minima_after(after, after, rest & ~after, down, cover)
+        stack.append((after, 0, targets, 0, (), (rest, mm & ~s, after, taken, {})))
 
 
 def transverse_poly_coeffs(P: Poset):

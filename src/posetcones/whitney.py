@@ -43,12 +43,13 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import NotNaturallyLabeled
+from .errors import NotNaturallyLabeled, ParseError
 from .foata import _fcyc_counts
 from .genfun import _compositions_upto, chains_gf_rhs
 from .partitions import transverse_poly_coeffs
 from .polynomials import IntPolynomial, stirling_first_kind_row
 from .posets import (
+    SIZE_GUARD,
     Poset,
     _bits,
     _extension_dp,
@@ -188,9 +189,13 @@ def verify_chains_gf(ell, cap):
     """Compare every coefficient of the inverted series against the transverse
     route on the matching disjoint-chain poset; zero parts just drop chains.
 
-    Returns (a, coefficient, matches) triples in lex order of a.
+    Returns (a, coefficient, matches) triples in lex order of a.  A cap
+    past `posets.SIZE_GUARD` is refused as `parse_poset` refuses n, after
+    the series' own bound.
     """
     rhs = chains_gf_rhs(ell, cap)
+    if cap > SIZE_GUARD:
+        raise ParseError(f"cap={cap} exceeds the size guard {SIZE_GUARD}")
     report = []
     for a in _compositions_upto(ell, cap):
         got = rhs.coefficient(a)

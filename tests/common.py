@@ -26,7 +26,7 @@ from posetcones import (
     poset_from_relations,
     random_poset,
 )
-from posetcones.partitions import _layer_choices, _quotient_peel, check_transverse
+from posetcones.partitions import _quotient_peel, check_transverse
 from posetcones.polynomials import slot_width, stirling_first_kind_row, unpack_slots
 from posetcones.posets import _bits, _label_mask, _min_mask
 
@@ -409,22 +409,57 @@ def rescan_linear_extensions(P: Poset):
     yield from rec(0)
 
 
+def unpruned_layer_choices(min_mask, forbidden):
+    """Every partition of every nonempty subset of min_mask whose blocks
+    each hold a label outside `forbidden`, dead branches included, as the
+    enumeration built them before it was pruned: (S_mask, blocks) pairs,
+    blocks a tuple of ascending label tuples, in the enumeration's order."""
+    elems = list(_bits(min_mask))
+    out = []
+
+    def rec(idx, blocks, masks):
+        if idx == len(elems):
+            if blocks and all(m & ~forbidden for m in masks):
+                s = 0
+                for m in masks:
+                    s |= m
+                out.append((s, tuple(tuple(x + 1 for x in sorted(b)) for b in blocks)))
+            return
+        v = elems[idx]
+        rec(idx + 1, blocks, masks)
+        for b in range(len(blocks)):
+            blocks[b].append(v)
+            masks[b] |= 1 << v
+            rec(idx + 1, blocks, masks)
+            masks[b] ^= 1 << v
+            blocks[b].pop()
+        blocks.append([v])
+        masks.append(1 << v)
+        rec(idx + 1, blocks, masks)
+        masks.pop()
+        blocks.pop()
+
+    rec(0, [], [])
+    return out
+
+
 def rescan_enumerate_transverse(P: Poset):
     """`partitions.enumerate_transverse` with two `_min_mask` scans per
-    state."""
+    state, taking a layer S of the minima mm only if S is mm or S holds
+    every minimum below some minimum of alive - mm."""
     n = P.n
     down = P._down
-    up = P._up
 
     def rec(alive, forbidden):
         if not alive:
             yield ()
             return
         mm = _min_mask(down, alive)
-        targets = _min_mask(down, alive & ~mm)
-        for s_mask, blocks in _layer_choices(mm, forbidden, up, targets):
-            rest_forbidden = mm & ~s_mask
-            for tail in rec(alive & ~s_mask, rest_forbidden):
+        targets = list(_bits(_min_mask(down, alive & ~mm)))
+        for s_mask, blocks in unpruned_layer_choices(mm, forbidden):
+            if s_mask != mm and all(down[t] & mm & ~s_mask for t in targets):
+                continue
+            for tail in rec(alive & ~s_mask, mm & ~s_mask):
                 yield blocks + tail
 
     for blocks in rec((1 << n) - 1, 0):

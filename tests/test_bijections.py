@@ -87,6 +87,7 @@ def test_permutation_text_forms():
     assert parse_permutation("(1,3,2)(4)") == p
     assert parse_permutation("(1,3,2)", n=4, implicit_fixed=True) == p
     assert parse_permutation("()") == Permutation(())
+    assert parse_permutation("[]") == parse_permutation(" ") == Permutation(())
     with pytest.raises(ParseError):
         parse_permutation("(1,3,2)", n=4)
     with pytest.raises(ParseError):

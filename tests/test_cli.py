@@ -424,6 +424,34 @@ def test_foata_phi_at_the_size_guard(capsys):
     assert (code, out) == (0, f"[{word}]\n")
 
 
+@pytest.mark.parametrize("argv, answer", [
+    (["genfun", "verify", "--ell", "1", "--degree", "{}"], "cap={} exceeds the size guard 64"),
+    (["selfcheck", "--n-max", "{}", "--trials", "0"], "n-max {} exceeds the size guard 64"),
+], ids=["genfun-verify", "selfcheck"])
+def test_poset_size_options_stop_at_the_size_guard(capsys, argv, answer):
+    # past the guard these doors would build chains and random posets deep
+    # enough to end in a RecursionError (a 1 100-chain, an n = 1 329 draw)
+    code, _, err = run(capsys, *[a.format(64) for a in argv])
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, *[a.format(65) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {answer.format(65)}\n")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["bij", "phi", "--perm", "()", "--implicit-fixed"], 0, "[1,3,2,4]\n", ""),
+    (["bij", "phi", "--perm", "()"], 2, "", "error: label 1 missing from cycles\n"),
+    (["bij", "phi", "--perm", "[]"], 2, "", "error: expected 4 entries, got 0\n"),
+    (["bij", "phi", "--perm", ""], 2, "", "error: expected 4 entries, got 0\n"),
+    (["foata", "phi-inv", "--support", "2", "--perm", "()", "--implicit-fixed"], 0, "[1,2]\n", ""),
+], ids=["cycles-implicit", "cycles", "one-line", "blank", "foata-implicit"])
+def test_empty_permutation_text_is_read_at_the_given_size(capsys, tmp_path, argv, code, out, err):
+    # "()" is the cycle form with no cycle and "[]" the one-line form with
+    # no entry, each read against the poset's or the support's size
+    if argv[0] == "bij":
+        argv = argv[:2] + ["--poset", poset_file(tmp_path, EX_212)] + argv[2:]
+    assert run(capsys, *argv) == (code, out, err)
+
+
 def test_genfun_negative_degree_exit_2():
     code, _, err = run_process("genfun", "verify", "--degree", "-1")
     assert code == 2 and "Traceback" not in err

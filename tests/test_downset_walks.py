@@ -510,28 +510,21 @@ def test_transverse_dp_steps_no_dead_antichain_child(monkeypatch, P, want):
 
 
 def test_enumeration_derives_minima_once_per_layer_set(monkeypatch):
-    # one targets call per state visited, then one minima call per distinct
-    # layer set S of that state, however many block arrangements S has
+    # 190 states visited, each deriving its targets once, and 110 distinct
+    # layer sets S (of 465 layer choices) that leave something alive in
+    # their state, each deriving the child's minima once however many block
+    # arrangements S has: 190 + 110 = 300 calls.  A walk that takes a dead
+    # or an empty layer may never end, so the count is refused past that
     P = random_poset(7, 0.2, random.Random(2))
     calls = []
     step = partitions._minima_after
-    choices = partitions._layer_choices
-    visits = []  # the layer sets each state yields, one list per state
 
     def counted(*args):
         calls.append(args)
+        if len(calls) > 300:
+            raise AssertionError("more than 300 minima derivations")
         return step(*args)
 
-    def recorded(*args):
-        sets = []
-        visits.append(sets)
-        for s_mask, blocks in choices(*args):
-            sets.append(s_mask)
-            yield s_mask, blocks
-
     monkeypatch.setattr(partitions, "_minima_after", counted)
-    monkeypatch.setattr(partitions, "_layer_choices", recorded)
-    assert len(list(enumerate_transverse(P))) == 276
-    pairs = sum(len(set(sets)) for sets in visits)
-    assert (len(visits), sum(map(len, visits)), pairs) == (190, 465, 260)
-    assert len(calls) == len(visits) + pairs
+    assert sum(1 for _ in enumerate_transverse(P)) == 276
+    assert len(calls) == 300

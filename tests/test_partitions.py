@@ -29,14 +29,12 @@ from posetcones import (
 from posetcones import bijections, partitions
 from posetcones.bijections import transverse_permutations
 from posetcones.partitions import (
-    _layer_choices,
     _min_mask,
     _quotient_peel,
     check_transverse,
     transverse_poly_coeffs,
 )
 from posetcones.polynomials import stirling_first_kind_row
-from posetcones.posets import _bits
 from posetcones.whitney import poincare_via_transverse
 
 from common import (
@@ -50,6 +48,7 @@ from common import (
     singleton_partition,
     transitive_closure_pairs,
     transverse_count_check,
+    unpruned_layer_choices,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
@@ -193,39 +192,6 @@ def test_enumerate_transverse_extremes():
         assert list(enumerate_transverse(chain(n))) == [singleton_partition(n)]
 
 
-def _unpruned_layer_choices(min_mask, forbidden):
-    """Every partition of every nonempty subset of min_mask whose blocks
-    each hold a label outside `forbidden`, dead branches included, as the
-    enumeration built them before it was pruned (oracle)."""
-    elems = list(_bits(min_mask))
-    out = []
-
-    def rec(idx, blocks, masks):
-        if idx == len(elems):
-            if blocks and all(m & ~forbidden for m in masks):
-                s = 0
-                for m in masks:
-                    s |= m
-                out.append((s, tuple(tuple(x + 1 for x in sorted(b)) for b in blocks)))
-            return
-        v = elems[idx]
-        rec(idx + 1, blocks, masks)
-        for b in range(len(blocks)):
-            blocks[b].append(v)
-            masks[b] |= 1 << v
-            rec(idx + 1, blocks, masks)
-            masks[b] ^= 1 << v
-            blocks[b].pop()
-        blocks.append([v])
-        masks.append(1 << v)
-        rec(idx + 1, blocks, masks)
-        masks.pop()
-        blocks.pop()
-
-    rec(0, [], [])
-    return out
-
-
 def _unpruned_enumerate_transverse(P):
     """The level recursion over every layer choice, in the order the pruned
     enumeration must keep (oracle)."""
@@ -236,7 +202,7 @@ def _unpruned_enumerate_transverse(P):
             yield ()
             return
         mm = _min_mask(down, alive)
-        for s_mask, blocks in _unpruned_layer_choices(mm, forbidden):
+        for s_mask, blocks in unpruned_layer_choices(mm, forbidden):
             for tail in rec(alive & ~s_mask, mm & ~s_mask):
                 yield blocks + tail
 
@@ -271,23 +237,27 @@ def test_transverse_permutations_keep_their_order(monkeypatch):
 
 
 def test_enumeration_builds_no_dead_layer(monkeypatch):
-    built = []
-    layer_choices = partitions._layer_choices
+    # each state derives its targets once, and each layer set S that leaves
+    # something alive derives the child's minima once.  An antichain is one
+    # state with no target, so its only layer set takes every point: one
+    # call, for the root's targets.  A chain's n states each take their one
+    # minimum, and all but the last leave something: n + (n - 1) calls.  A
+    # dead layer would add states, and so calls, that yield nothing.
+    calls = []
+    step = partitions._minima_after
 
-    def counting(*args):
-        built.append(0)
-        for choice in layer_choices(*args):
-            built[-1] += 1
-            yield choice
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
 
-    monkeypatch.setattr(partitions, "_layer_choices", counting)
+    monkeypatch.setattr(partitions, "_minima_after", counted)
     for n in range(1, 8):
-        built.clear()
-        assert len(list(enumerate_transverse(antichain(n)))) == BELL[n]
-        assert sum(built) == BELL[n], n
-        built.clear()
-        list(enumerate_transverse(chain(n)))
-        assert sum(built) == n, n
+        calls.clear()
+        assert sum(1 for _ in enumerate_transverse(antichain(n))) == BELL[n]
+        assert len(calls) == 1, n
+        calls.clear()
+        assert sum(1 for _ in enumerate_transverse(chain(n))) == 1
+        assert len(calls) == 2 * n - 1, n
 
 
 def test_enumeration_streams_its_first_partition_at_once():
@@ -409,7 +379,7 @@ def test_layer_weight_matches_partition_sum():
             a = size - f
             forbidden = full >> a << a  # the top f labels
             brute = [0] * size
-            for s_mask, blocks in _layer_choices(full, forbidden):
+            for s_mask, blocks in unpruned_layer_choices(full, forbidden):
                 if s_mask != full:
                     continue
                 w = 1
