@@ -226,17 +226,18 @@ def enumerate_transverse(P: Poset):
     child's first frame above its siblings, so the child's partitions come
     first.  A child's minima depend on S alone, not on how S is split into
     blocks, so a state derives its targets once and the minima after each
-    S that leaves something alive once (`posets._minima_after`).  No
-    recursion limit bounds the number of levels or of minima.
+    other S that leaves something alive once (`posets._minima_after`): its
+    cache starts as {mm: targets}, the minima after S = mm.  The walk
+    starts at the child of an empty layer over P, so the root is set up as
+    every other state is.  No recursion limit bounds the number of levels
+    or of minima.
     """
     n = P.n
     down = P._down
     up = P._up
     cover = _cover_rows(down)
     full = (1 << n) - 1
-    mm = _min_mask(down, full)
-    targets = _minima_after(mm, mm, full & ~mm, down, cover)
-    stack = [(mm, 0, targets, 0, (), (full, 0, mm, (), {}))]
+    stack = [(0, 0, 0, 0, (), (full, 0, 0, (), {0: _min_mask(down, full)}))]
     while stack:
         left, s, targets, short, blocks, state = stack.pop()
         alive, forbidden, mm, taken, minima = state
@@ -268,7 +269,8 @@ def enumerate_transverse(P: Poset):
         if after is None:
             after = minima[s] = _minima_after(mm, s, rest, down, cover)
         targets = _minima_after(after, after, rest & ~after, down, cover)
-        stack.append((after, 0, targets, 0, (), (rest, mm & ~s, after, taken, {})))
+        stack.append((after, 0, targets, 0, (),
+                      (rest, mm & ~s, after, taken, {after: targets})))
 
 
 def transverse_poly_coeffs(P: Poset):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import factorial, gcd
 
-from .errors import ParseError, ZeroPolynomial
+from .errors import DegreeExceeded, ParseError, ZeroPolynomial
 
 
 class IntPolynomial:
@@ -95,7 +95,7 @@ class IntPolynomial:
     def reversed_to_degree(self, d: int) -> "IntPolynomial":
         """t**d * p(1/t), as a polynomial; requires deg p <= d."""
         if self.degree > d:
-            raise ValueError("degree exceeds reversal bound")
+            raise DegreeExceeded("degree exceeds reversal bound")
         padded = list(self.coeffs) + [0] * (d + 1 - len(self.coeffs))
         return IntPolynomial(padded[::-1])
 

@@ -165,7 +165,7 @@ def poincare(P: Poset, method: str = "auto") -> IntPolynomial:
         return poincare_via_width2(P)
     if method == "foata":
         return poincare_via_foata(disjoint_chain_lengths(P))
-    raise ValueError(f"unknown method {method!r}")
+    raise ParseError(f"unknown method {method!r}")
 
 
 def whitney_numbers(P: Poset, method: str = "auto"):

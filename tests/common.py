@@ -413,34 +413,24 @@ def unpruned_layer_choices(min_mask, forbidden):
     """Every partition of every nonempty subset of min_mask whose blocks
     each hold a label outside `forbidden`, dead branches included, as the
     enumeration built them before it was pruned: (S_mask, blocks) pairs,
-    blocks a tuple of ascending label tuples, in the enumeration's order."""
+    blocks a tuple of ascending label tuples, in the enumeration's order.
+    Streamed: each minimum is left out, then joins each block in turn,
+    then opens a new one, and a choice is yielded as soon as it is made."""
     elems = list(_bits(min_mask))
-    out = []
 
-    def rec(idx, blocks, masks):
+    def rec(idx, s, blocks):
         if idx == len(elems):
-            if blocks and all(m & ~forbidden for m in masks):
-                s = 0
-                for m in masks:
-                    s |= m
-                out.append((s, tuple(tuple(x + 1 for x in sorted(b)) for b in blocks)))
+            if blocks and all(mask & ~forbidden for _, mask in blocks):
+                yield s, tuple(labels for labels, _ in blocks)
             return
-        v = elems[idx]
-        rec(idx + 1, blocks, masks)
-        for b in range(len(blocks)):
-            blocks[b].append(v)
-            masks[b] |= 1 << v
-            rec(idx + 1, blocks, masks)
-            masks[b] ^= 1 << v
-            blocks[b].pop()
-        blocks.append([v])
-        masks.append(1 << v)
-        rec(idx + 1, blocks, masks)
-        masks.pop()
-        blocks.pop()
+        label, bit = elems[idx] + 1, 1 << elems[idx]
+        yield from rec(idx + 1, s, blocks)
+        for b, (labels, mask) in enumerate(blocks):
+            joined = (labels + (label,), mask | bit)
+            yield from rec(idx + 1, s | bit, blocks[:b] + (joined,) + blocks[b + 1:])
+        yield from rec(idx + 1, s | bit, blocks + (((label,), bit),))
 
-    rec(0, [], [])
-    return out
+    return rec(0, 0, ())
 
 
 def rescan_enumerate_transverse(P: Poset):

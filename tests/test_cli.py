@@ -422,6 +422,10 @@ def test_foata_phi_at_the_size_guard(capsys):
     code, out, _ = run(capsys, "foata", "phi-inv", "--support", "60,4",
                        "--perm", "(1)", "--implicit-fixed")
     assert (code, out) == (0, f"[{word}]\n")
+    refused = (2, "", "error: support total 65 exceeds the size guard 64\n")
+    assert run(capsys, "foata", "phi", "--support", "60,5", "--word", "1") == refused
+    assert run(capsys, "foata", "phi-inv", "--support", "60,5",
+               "--perm", "(1)", "--implicit-fixed") == refused
 
 
 @pytest.mark.parametrize("argv, answer", [

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from posetcones import (
+    DegreeExceeded,
     IntPolynomial,
     ParseError,
     ZeroPolynomial,
@@ -62,6 +63,8 @@ def test_shift_reverse_pad():
     assert p.padded(5) == [1, 2, 3, 0, 0]
     assert p.coefficient(1) == 2
     assert p.coefficient(9) == 0
+    with pytest.raises(DegreeExceeded):
+        p.reversed_to_degree(1)
 
 
 def test_text_forms():
@@ -69,6 +72,8 @@ def test_text_forms():
     assert p.machine_str() == "1 9 19 11 2"
     assert p.human_str() == "1 + 9*t + 19*t^2 + 11*t^3 + 2*t^4"
     assert IntPolynomial([1, -1]).human_str() == "1 - t"
+    assert IntPolynomial([1, 0, -2]).human_str() == "1 - 2*t^2"
+    assert IntPolynomial([0, 0, 1]).human_str() == "t^2"
     assert IntPolynomial.zero().human_str() == "0"
     assert poly_from_machine("1 9 19 11 2") == p
     assert poly_from_machine("1,9,19,11,2") == p

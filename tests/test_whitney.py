@@ -9,6 +9,7 @@ from posetcones import (
     IntPolynomial,
     NotDisjointChains,
     NotNaturallyLabeled,
+    ParseError,
     WidthExceeded,
     antichain,
     chain,
@@ -150,8 +151,10 @@ def test_dispatch():
         poincare(antichain(3), method="width2")
     with pytest.raises(NotDisjointChains):
         poincare(grid(2, 2), method="foata")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         poincare(chain(2), method="nope")
+    with pytest.raises(ParseError):
+        whitney_numbers(chain(2), method="nope")
 
 
 def test_p_eulerian():
