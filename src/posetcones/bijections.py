@@ -15,16 +15,21 @@ Comparability is read off the bit-packed rows P._up / P._down, never pair
 by pair: psi and level_decompose are one pass over level masks, and phi
 hands the cycles straight to the quotient peel of `partitions`, which
 checks transversality and yields the cycles' quotient levels in the same
-pass.
+pass.  omega_inv needs no peel: its walk writes the one word that can map
+to its partition, and the partition is transverse iff omega maps that word
+back to it, so its check is one more linear pass.
 
-Caller input is validated and library-built permutations are not:
+Caller input is validated and library-built objects are not:
 `Permutation(...)` and `parse_permutation` check that the images are a
 permutation of 1..n, while `psi` returns `Permutation._built`, because
 its `is_linear_extension` check has already proved the word a
 permutation of 1..n, and the scan maps each cut segment of the word onto
 itself as one cycle, so the images are the word's letters rearranged.
 `transverse_permutations` builds the same way: it writes each image
-along a cycle of a block of a partition of 1..n.
+along a cycle of a block of a partition of 1..n.  `omega` returns
+`SetPartition._built` with each pair sorted: its word is a linear
+extension, so a permutation of 1..n, and no two crossing descents share a
+letter, so each letter lies in one pair or stands alone.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from itertools import permutations
 from .errors import (
     IndexOutOfRange,
     NotLinearExtension,
+    NotTransverse,
     ParseError,
 )
 from .partitions import (
@@ -41,6 +47,7 @@ from .partitions import (
     _quotient_peel,
     check_transverse,
     enumerate_transverse,
+    partition_to_text,
 )
 from .polynomials import parse_int_list
 from .posets import SIZE_GUARD, Poset, is_linear_extension
@@ -337,8 +344,9 @@ def _crossing_descents(P: Poset, d, word):
     if not is_linear_extension(P, word):
         raise NotLinearExtension(f"{list(word)} is not a linear extension")
     up, down = P._up, P._down
+    s1 = d._s1
     return [(x, y) for x, y in zip(word, word[1:])
-            if d.side(x) == 2 and d.side(y) == 1
+            if y in s1 and x not in s1
             and not (up[x - 1] | down[x - 1]) >> (y - 1) & 1]
 
 
@@ -354,24 +362,34 @@ def omega(P: Poset, d, sigma) -> SetPartition:
     element) becomes a two-element block.  Two such descents never share a
     letter, since the first ends on chain 1 and the second starts on 2."""
     word = tuple(sigma)
-    blocks = _crossing_descents(P, d, word)
-    paired = {x for blk in blocks for x in blk}
+    pairs = _crossing_descents(P, d, word)
+    paired = {x for pair in pairs for x in pair}
+    blocks = [(x, y) if x < y else (y, x) for x, y in pairs]
     blocks += [(x,) for x in word if x not in paired]
-    return SetPartition(P.n, blocks)
+    return SetPartition._built(P.n, blocks)
 
 
 def omega_inv(P: Poset, d, pi: SetPartition):
     """Rebuild the word with one pointer into each chain.  The chain-1 head
     is free iff the chain-2 head is not below it; a free head goes next,
     after the chain-2 run up to its partner if it has one.  Otherwise the
-    chain-2 head goes next.  Once `check_transverse` passes, partners alone
-    decide: a block pairs h on chain 1 with x on chain 2, and a y in the run
-    is not above h (or h < x) and, if paired, its partner h' is placed (and
-    y with it) or h < h' while y < x, a 2-cycle of the quotient.  A chain-2
-    head y below h is unpaired, or its unplaced partner h' >= h has y < h'."""
-    check_transverse(P, pi)
+    chain-2 head goes next.  On a transverse pi the partners alone decide:
+    a block pairs h on chain 1 with x on chain 2, and a y in the run is not
+    above h (or h < x) and, if paired, its partner h' is placed (and y with
+    it) or h < h' while y < x, a 2-cycle of the quotient.  A chain-2 head y
+    below h is unpaired, or its unplaced partner h' >= h has y < h'.
+
+    So the walk writes the one candidate preimage, and since omega maps
+    L(P) onto the transverse partitions, pi is transverse iff omega maps
+    the candidate back to it.  A partner that is not ahead on chain 2, or
+    lies above h, ends the walk at once.  Otherwise no letter of a run lies
+    above h, the lowest unplaced chain-1 letter, so the candidate is a
+    linear extension, and a pi that is not transverse ends in
+    `NotTransverse` either way."""
+    if pi.n != P.n:
+        raise IndexOutOfRange("partition size differs from poset size")
     partner = {a: b for blk in pi.blocks if len(blk) == 2 for a, b in (blk, blk[::-1])}
-    down = P._down
+    up, down = P._up, P._down
     p1, p2 = d.p1, d.p2
     i = j = 0
     word = []
@@ -379,7 +397,13 @@ def omega_inv(P: Poset, d, pi: SetPartition):
         h = p1[i] if i < len(p1) else 0
         if h and (j == len(p2) or not down[h - 1] >> (p2[j] - 1) & 1):
             if h in partner:
-                k = p2.index(partner[h], j) + 1
+                x = partner[h]
+                try:
+                    k = p2.index(x, j) + 1
+                except ValueError:  # x is on chain 1 or already placed
+                    break
+                if up[h - 1] >> (x - 1) & 1:
+                    break
                 word += p2[j:k]
                 j = k
             word.append(h)
@@ -387,4 +411,8 @@ def omega_inv(P: Poset, d, pi: SetPartition):
         else:
             word.append(p2[j])
             j += 1
-    return tuple(word)
+    else:
+        word = tuple(word)
+        if omega(P, d, word) == pi:
+            return word
+    raise NotTransverse(f"{partition_to_text(pi)} is not transverse")

@@ -155,35 +155,39 @@ def _quotient_peel(P: Poset, blocks, n):
     reach: a vertex with no arc in from the rest is minimal in the closure
     too, so no closure is built.  An empty level means a directed cycle; a
     block that is no antichain reaches itself, so it never peels either.
+    One pass per level levels the free blocks and keeps the others, whose
+    up rows it gathers for the next level.
     """
     if n != P.n:
         raise IndexOutOfRange("partition size differs from poset size")
     up = P._up
-    masks = []
-    ups = []
-    for blk in blocks:
+    rem = []
+    above = 0
+    for a, blk in enumerate(blocks):
         m = u = 0
         for x in blk:
             m |= 1 << (x - 1)
             u |= up[x - 1]
-        masks.append(m)
-        ups.append(u)
-    level = [0] * len(masks)
+        rem.append((a, m, u))
+        above |= u
+    level = [0] * len(rem)
     level_masks = [0]
-    rem = range(len(masks))
     while rem:
-        above = 0
-        for a in rem:
-            above |= ups[a]
-        layer = 0
-        for a in rem:
-            if not masks[a] & above:
-                level[a] = len(level_masks)
-                layer |= masks[a]
+        lv = len(level_masks)
+        layer = nxt = 0
+        kept = []
+        for entry in rem:
+            a, m, u = entry
+            if m & above:
+                kept.append(entry)
+                nxt |= u
+            else:
+                level[a] = lv
+                layer |= m
         if not layer:
             return None
         level_masks.append(layer)
-        rem = [a for a in rem if masks[a] & above]
+        rem, above = kept, nxt
     return level, level_masks
 
 

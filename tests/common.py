@@ -14,6 +14,7 @@ from posetcones import (
     NotTransverse,
     Permutation,
     Poset,
+    PosetconesError,
     SetPartition,
     count_linear_extensions,
     enumerate_transverse,
@@ -471,6 +472,15 @@ def product_transverse_permutations(P: Poset):
             yield Permutation(images[1:])
 
 
+def outcome(f, *args):
+    """What `f(*args)` returns, or the type and text of the library error it
+    raises; any other exception propagates."""
+    try:
+        return f(*args)
+    except PosetconesError as exc:
+        return type(exc), str(exc)
+
+
 def rescan_omega(P: Poset, d, sigma) -> SetPartition:
     """`bijections.omega` walking the minima, `_min_mask` per step: a pair
     forms only when two minima are alive, from the chain-1 minimum and the
@@ -551,6 +561,41 @@ def rescan_omega_inv(P: Poset, d, pi: SetPartition):
         emit(x)
         emit(p1)
     return tuple(word)
+
+
+def rescan_quotient_peel(P: Poset, blocks, n):
+    """`partitions._quotient_peel` with a pass for each level's up rows, a
+    pass that levels the free blocks and a comprehension that re-tests every
+    block to keep the others."""
+    if n != P.n:
+        raise IndexOutOfRange("partition size differs from poset size")
+    up = P._up
+    masks = []
+    ups = []
+    for blk in blocks:
+        m = u = 0
+        for x in blk:
+            m |= 1 << (x - 1)
+            u |= up[x - 1]
+        masks.append(m)
+        ups.append(u)
+    level = [0] * len(masks)
+    level_masks = [0]
+    rem = range(len(masks))
+    while rem:
+        above = 0
+        for a in rem:
+            above |= ups[a]
+        layer = 0
+        for a in rem:
+            if not masks[a] & above:
+                level[a] = len(level_masks)
+                layer |= masks[a]
+        if not layer:
+            return None
+        level_masks.append(layer)
+        rem = [a for a in rem if masks[a] & above]
+    return level, level_masks
 
 
 def set_cycles(tau: Permutation):

@@ -40,11 +40,11 @@ from posetcones import (
     union_of_chains,
     width,
 )
-from posetcones import WidthExceeded
+from posetcones import WidthExceeded, partitions
 from posetcones.foata import foata_phi_inv
 from posetcones.partitions import check_transverse
 
-from common import all_labeled_posets, quotient_preposet
+from common import all_labeled_posets, all_partitions, outcome, quotient_preposet
 
 EX_PHI_RELATIONS = [
     (13, 6), (1, 6), (1, 7), (9, 7), (9, 2), (11, 2),
@@ -325,11 +325,32 @@ def _omega_inv_without_partners(P, d, pi):
 
 
 def test_omega_inv_inverts_omega_on_every_split_and_transverse_partition():
-    # no check inside the walk: after check_transverse the partners decide
+    # on a transverse partition the partners alone decide the walk's word
     posets = [P for n in range(6) for P in all_labeled_posets(n) if width(P) <= 2]
     posets += _relabeled_width2_posets(300, 7, seed=27)
     assert _first_broken_round_trip(omega_inv, posets) is None
     assert _first_broken_round_trip(_omega_inv_without_partners, posets) is not None
+
+
+def test_omega_inv_accepts_exactly_the_transverse_partitions():
+    # every set partition, under both chain orders: the preimage iff the
+    # partition is transverse, and otherwise check_transverse's error, with
+    # no ValueError or NotLinearExtension from the walk on the way
+    posets = [P for n in range(6) for P in all_labeled_posets(n) if width(P) <= 2]
+    posets += _relabeled_width2_posets(40, 7, seed=32)
+    seen = Counter()
+    for P in posets:
+        d = chain_cover_width2(P)
+        splits = (d, ChainDecomposition(P, d.p2, d.p1))
+        preimages = [{omega(P, dd, w): w for w in linear_extensions(P)} for dd in splits]
+        for pi in all_partitions(P.n):
+            error = None if is_transverse(P, pi) else outcome(check_transverse, P, pi)
+            for dd, preimage in zip(splits, preimages):
+                assert (pi in preimage) == (error is None)
+                want = error or preimage[pi]
+                assert outcome(omega_inv, P, dd, pi) == want, (P.relations(), dd, pi)
+                seen[error is None] += 1
+    assert seen[True] > 10_000 and seen[False] > 100_000
 
 
 # -- the mask core against per-pair versions ------------------------------------
@@ -560,6 +581,36 @@ def test_transversality_callers_answer_on_the_quotient_peel():
     assert foata_phi_inv(a, tau) == (3, 8, 9, 6, 1, 4, 2, 7, 10, 5)
     with pytest.raises(NotTransverse):
         foata_phi_inv((2, 2), Permutation([2, 1, 3, 4]))
+
+
+def test_omega_round_trips_make_no_quotient_peel(monkeypatch):
+    # omega_inv checks by mapping back; a planted check_transverse, the
+    # negative control, peels once per round trip
+    real = partitions._quotient_peel
+    calls = Counter()
+
+    def counted(*args):
+        calls["peel"] += 1
+        return real(*args)
+
+    monkeypatch.setattr("posetcones.partitions._quotient_peel", counted)
+    monkeypatch.setattr("posetcones.bijections._quotient_peel", counted)
+    P = grid(2, 10)
+    d = chain_cover_width2(P)
+    words = list(islice(linear_extensions(P), 64))
+
+    def round_trips(inverse):
+        for w in words:
+            assert inverse(P, d, omega(P, d, w)) == w
+
+    def planted(P, d, pi):
+        check_transverse(P, pi)
+        return omega_inv(P, d, pi)
+
+    round_trips(omega_inv)
+    assert calls["peel"] == 0
+    round_trips(planted)
+    assert calls["peel"] == 64
 
 
 def test_phi_builds_no_set_partition(monkeypatch):

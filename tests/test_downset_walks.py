@@ -25,7 +25,6 @@ from posetcones import (
     IntPolynomial,
     MultisetPermutation,
     Permutation,
-    PosetconesError,
     SetPartition,
     antichain,
     chain,
@@ -69,6 +68,7 @@ from common import (
     descending_runs_poly,
     keyed_phi,
     kuhn_chain_cover,
+    outcome,
     product_transverse_permutations,
     record_psi,
     rescan_count_linear_extensions,
@@ -194,13 +194,6 @@ def _width2_decompositions():
             yield P, ChainDecomposition(P, d.p2, d.p1)
 
 
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except PosetconesError as exc:
-        return type(exc), str(exc)
-
-
 def test_width2_bijections_match_rescan_oracles():
     for P, d in _width2_decompositions():
         for w in linear_extensions(P):
@@ -215,11 +208,11 @@ def test_width2_bijections_raise_as_the_rescan_oracles():
         if P.n > 4:
             continue
         for w in permutations(range(1, P.n + 1)):
-            assert _outcome(omega, P, d, w) == _outcome(rescan_omega, P, d, w)
+            assert outcome(omega, P, d, w) == outcome(rescan_omega, P, d, w)
         for pi in all_partitions(P.n):
-            assert _outcome(omega_inv, P, d, pi) == _outcome(rescan_omega_inv, P, d, pi)
+            assert outcome(omega_inv, P, d, pi) == outcome(rescan_omega_inv, P, d, pi)
         short = tuple(range(1, P.n))
-        assert _outcome(omega, P, d, short) == _outcome(rescan_omega, P, d, short)
+        assert outcome(omega, P, d, short) == outcome(rescan_omega, P, d, short)
 
 
 @lru_cache(maxsize=None)
@@ -268,13 +261,13 @@ def test_psi_and_phi_raise_as_the_record_oracles():
         if P.n > 4:
             continue
         for images in permutations(range(1, P.n + 1)):
-            assert _outcome(psi, P, images) == _outcome(record_psi, P, images)
+            assert outcome(psi, P, images) == outcome(record_psi, P, images)
             tau = Permutation(images)
-            assert _outcome(phi, P, tau) == _outcome(keyed_phi, P, tau)
+            assert outcome(phi, P, tau) == outcome(keyed_phi, P, tau)
         short = tuple(range(1, P.n))
-        assert _outcome(psi, P, short) == _outcome(record_psi, P, short)
+        assert outcome(psi, P, short) == outcome(record_psi, P, short)
         big = Permutation.identity(P.n + 1)
-        assert _outcome(phi, P, big) == _outcome(keyed_phi, P, big)
+        assert outcome(phi, P, big) == outcome(keyed_phi, P, big)
 
 
 def test_psi_reads_no_record_and_builds_no_cycles(monkeypatch):

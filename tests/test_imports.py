@@ -124,7 +124,8 @@ def unread_private_definitions(sources):
 
 # the only functions that may build without validation; a new caller of
 # `_built` must be added here on purpose
-BUILT_CALLERS = [("bijections.py", "psi"), ("bijections.py", "transverse_permutations"),
+BUILT_CALLERS = [("bijections.py", "omega"), ("bijections.py", "psi"),
+                 ("bijections.py", "transverse_permutations"),
                  ("foata.py", "foata_phi"), ("foata.py", "multiset_encode"),
                  ("foata.py", "prime_decompose"), ("partitions.py", "enumerate_transverse")]
 

@@ -45,6 +45,7 @@ from common import (
     multinomial,
     packed_kernel_corpus,
     quotient_preposet,
+    rescan_quotient_peel,
     singleton_partition,
     transitive_closure_pairs,
     transverse_count_check,
@@ -168,6 +169,22 @@ def test_quotient_peel_matches_the_closure():
             assert got == want, (P.relations(), partition_to_text(pi))
             seen[got is not None] += 1
     assert seen[True] > 1000 and seen[False] > 1000
+
+
+def test_quotient_peel_matches_the_rescan_peel():
+    # random blocks in random order, transverse or not, on random posets
+    rng = random.Random(32)
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        P = random_poset(n, rng.choice([0.1, 0.3, 0.5]), rng)
+        owner = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        blocks = [tuple(x for x in range(1, n + 1) if owner[x - 1] == b) for b in set(owner)]
+        rng.shuffle(blocks)
+        got = _quotient_peel(P, blocks, n)
+        assert got == rescan_quotient_peel(P, blocks, n), (P.relations(), blocks)
+        seen[got is not None] += 1
+    assert seen[True] > 500 and seen[False] > 500
 
 
 def test_transverse_ten_element_example():
