@@ -271,9 +271,7 @@ def level_decompose(P: Poset, sigma) -> LeveledExtension:
     level down; the LR maxima are the running maxima of the essential
     subsequence within each level.  One pass, carrying the label masks of the
     current and the previous level."""
-    word = tuple(sigma)
-    if not is_linear_extension(P, word):
-        raise NotLinearExtension(f"{list(word)} is not a linear extension")
+    word = _extension_word(P, sigma)
     down = P._down
     levels = []
     level_of = {}
@@ -309,9 +307,7 @@ def psi(P: Poset, sigma) -> Permutation:
     other letter is the image of the letter before it, and the last letter
     maps to the last opener.  Slot 0 of `images` takes the write made
     before the first letter."""
-    word = tuple(sigma)
-    if not is_linear_extension(P, word):
-        raise NotLinearExtension(f"{list(word)} is not a linear extension")
+    word = _extension_word(P, sigma)
     down = P._down
     images = [0] * (len(word) + 1)
     cur = prev = runm = 0
@@ -338,11 +334,17 @@ def lrmax_count(P: Poset, sigma) -> int:
 
 # -- width-2 descent bijection -------------------------------------------------
 
-def _crossing_descents(P: Poset, d, word):
-    """Adjacent pairs of the tuple `word` that fall from chain 2 to an
-    incomparable chain-1 element; `word` must be a linear extension."""
+def _extension_word(P: Poset, sigma):
+    """sigma as a tuple; NotLinearExtension unless it is a linear extension."""
+    word = tuple(sigma)
     if not is_linear_extension(P, word):
         raise NotLinearExtension(f"{list(word)} is not a linear extension")
+    return word
+
+
+def _crossing_descents(P: Poset, d, word):
+    """Adjacent pairs of `word`, a linear extension (unchecked), that fall
+    from chain 2 to an incomparable chain-1 element."""
     up, down = P._up, P._down
     s1 = d._s1
     return [(x, y) for x, y in zip(word, word[1:])
@@ -353,7 +355,7 @@ def _crossing_descents(P: Poset, d, word):
 def des_p1p2(P: Poset, d, sigma) -> int:
     """Descents of sigma that fall from chain 2 to an incomparable chain-1
     element."""
-    return len(_crossing_descents(P, d, tuple(sigma)))
+    return len(_crossing_descents(P, d, _extension_word(P, sigma)))
 
 
 def omega(P: Poset, d, sigma) -> SetPartition:
@@ -361,7 +363,7 @@ def omega(P: Poset, d, sigma) -> SetPartition:
     each chain-crossing descent (chain 2 falling to an incomparable chain-1
     element) becomes a two-element block.  Two such descents never share a
     letter, since the first ends on chain 1 and the second starts on 2."""
-    word = tuple(sigma)
+    word = _extension_word(P, sigma)
     pairs = _crossing_descents(P, d, word)
     paired = {x for pair in pairs for x in pair}
     blocks = [(x, y) if x < y else (y, x) for x, y in pairs]
@@ -385,7 +387,8 @@ def omega_inv(P: Poset, d, pi: SetPartition):
     lies above h, ends the walk at once.  Otherwise no letter of a run lies
     above h, the lowest unplaced chain-1 letter, so the candidate is a
     linear extension, and a pi that is not transverse ends in
-    `NotTransverse` either way."""
+    `NotTransverse` either way.  omega, unchecked, sends it to pi iff its
+    sorted crossing descents are the blocks of pi with two or more labels."""
     if pi.n != P.n:
         raise IndexOutOfRange("partition size differs from poset size")
     partner = {a: b for blk in pi.blocks if len(blk) == 2 for a, b in (blk, blk[::-1])}
@@ -412,7 +415,7 @@ def omega_inv(P: Poset, d, pi: SetPartition):
             word.append(p2[j])
             j += 1
     else:
-        word = tuple(word)
-        if omega(P, d, word) == pi:
-            return word
+        pairs = {(x, y) if x < y else (y, x) for x, y in _crossing_descents(P, d, word)}
+        if pairs == {blk for blk in pi.blocks if len(blk) > 1}:
+            return tuple(word)
     raise NotTransverse(f"{partition_to_text(pi)} is not transverse")

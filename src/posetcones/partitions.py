@@ -214,16 +214,17 @@ def enumerate_transverse(P: Poset):
     of its state one at a time, lowest label first.  Leaving a minimum out
     drops the targets, the minima of alive - mm, above it; a branch with no
     target left must take every remaining minimum, and one holding more
-    forbidden-only blocks than free minima remain to join them ends, so no
-    branch of the walk is dead.
+    forbidden-only blocks than free minima remain to join them is never
+    pushed, so no frame of the walk is dead.
 
-    The walk pops frames (left, S, targets, short, blocks, state) off one
+    The walk pops frames (left, S, targets, fo, blocks, state) off one
     stack: the minima still to decide, the layer so far, the targets still
-    reachable, the count of forbidden-only blocks, the layer's blocks as
-    (labels, mask) pairs, and the record of the state, (alive, forbidden,
-    mm, the labels taken above it, and a cache from S to the minima of
-    alive - S), which its frames share.  No frame is changed, so siblings
-    share what they leave alone.  The frame deciding minimum v pushes v in
+    reachable, fo, a mask over the positions in `blocks` marking the blocks
+    that hold only forbidden labels, the layer's blocks as label tuples,
+    and the record of the state, (alive, forbidden, mm, the labels taken
+    above it, and a cache from S to the minima of alive - S), which its
+    frames share.  No frame is changed, so siblings share what they leave
+    alone.  The frame deciding minimum v pushes v in
     a new block, v joining each block from the last to the first, and v
     left out, so they pop in the reverse order.  A finished layer yields
     its partition if it leaves nothing alive, and otherwise pushes the
@@ -243,28 +244,27 @@ def enumerate_transverse(P: Poset):
     full = (1 << n) - 1
     stack = [(0, 0, 0, 0, (), (full, 0, 0, (), {0: _min_mask(down, full)}))]
     while stack:
-        left, s, targets, short, blocks, state = stack.pop()
+        left, s, targets, fo, blocks, state = stack.pop()
         alive, forbidden, mm, taken, minima = state
-        if short > (left & ~forbidden).bit_count():
-            continue
         if left:
             bit = left & -left
             left ^= bit
             label = bit.bit_length()
             free = not forbidden & bit
-            stack.append((left, s | bit, targets, short + (not free),
-                          blocks + (((label,), bit),), state))
+            room = (left & ~forbidden).bit_count()
+            short = fo.bit_count()
+            if short + (not free) <= room:
+                stack.append((left, s | bit, targets, fo | (not free) << len(blocks),
+                              blocks + ((label,),), state))
             for b in range(len(blocks) - 1, -1, -1):
-                labels, mask = blocks[b]
-                joined = (labels + (label,), mask | bit)
-                stack.append((left, s | bit, targets,
-                              short - (free and not mask & ~forbidden),
-                              blocks[:b] + (joined,) + blocks[b + 1:], state))
+                if short - (free and fo >> b & 1) <= room:
+                    stack.append((left, s | bit, targets, fo & ~(free << b),
+                                  blocks[:b] + (blocks[b] + (label,),) + blocks[b + 1:], state))
             kept = targets & ~up[label - 1]
-            if kept:
-                stack.append((left, s, kept, short, blocks, state))  # leave this minimum out
+            if kept and short <= room:
+                stack.append((left, s, kept, fo, blocks, state))  # leave this minimum out
             continue
-        taken += tuple(labels for labels, _ in blocks)
+        taken += blocks
         rest = alive & ~s
         if not rest:
             yield SetPartition._built(n, taken)

@@ -27,9 +27,10 @@ The lrmax state keeps only what a later step can read.  Later steps read
 the current and previous level only as `down[v] & level`, and the running
 maximum only as `v > runm`, each for an unplaced v.  The first is nonzero
 iff v lies in the union of the level's up rows, so each level becomes that
-union, and runm becomes `above`, the unplaced elements with a larger label.
-No mask keeps a placed element, so the states merge exactly when no later
-step can tell them apart.
+union, and runm becomes the unplaced elements with a larger label.  The
+last two are read only together, and every step ANDs both with masks that
+clear v except a level opening, which resets both, so the state keeps
+their AND.  No mask keeps a placed element.
 
 Keeping the routes separate is the point: cross-checking them is the main
 correctness instrument, so none of them may delegate to another.  The
@@ -71,29 +72,27 @@ def poincare_via_transverse(P: Poset) -> IntPolynomial:
 def poincare_via_lrmax(P: Poset) -> IntPolynomial:
     """Sum of t^(n - #LR maxima) over all linear extensions.
 
-    State (over_cur, over_prev, above) of unplaced-element masks: over_cur
-    is the union of the current level's up rows, over_prev the same for
-    the previous level (every unplaced element on level one), and `above`
-    the elements whose label is larger than the running maximum.  An
-    element in over_cur opens the next level as its LR maximum; any other
-    is an LR maximum iff it lies in over_prev and in `above`.  Every placed
-    element that is not an LR maximum scores t.  over_cur needs no masking:
-    placing an element above the current level opens the next one.
+    State (over_cur, live) of unplaced-element masks: over_cur is the union
+    of the current level's up rows, and `live` the elements in the previous
+    level's union (every element on level one) with a label larger than
+    the running maximum.  An element in over_cur opens the next level as
+    its LR maximum; any other is an LR maximum iff it lies in `live`.
+    Every placed element that is not an LR maximum scores t.  Other steps
+    AND both parts of `live` with masks clearing v; an opening sets `live`
+    to over_cur above v, since over_cur holds no placed element.
     """
     up = P._up
-    full = (1 << P.n) - 1
 
-    def step(placed, state, v):
-        over_cur, over_prev, above = state
+    def step(_placed, state, v):
+        over_cur, live = state
         b = 1 << v
         if over_cur & b:
-            return (up[v], over_cur & ~b, full & ~placed & -(b << 1)), 0
-        after = (over_cur | up[v], over_prev & ~b)
-        if over_prev & above & b:
-            return (*after, above & -(b << 1)), 0
-        return (*after, above & ~b), 1
+            return (up[v], over_cur & -(b << 1)), 0
+        if live & b:
+            return (over_cur | up[v], live & -(b << 1)), 0
+        return (over_cur | up[v], live & ~b), 1
 
-    return _extension_dp(P.n, P._down, (0, full, full), step)
+    return _extension_dp(P.n, P._down, (0, (1 << P.n) - 1), step)
 
 
 def poincare_via_foata(a) -> IntPolynomial:

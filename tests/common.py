@@ -410,13 +410,15 @@ def rescan_linear_extensions(P: Poset):
     yield from rec(0)
 
 
-def unpruned_layer_choices(min_mask, forbidden):
+def unpruned_layer_choices(min_mask, forbidden, leave_out=True):
     """Every partition of every nonempty subset of min_mask whose blocks
     each hold a label outside `forbidden`, dead branches included, as the
     enumeration built them before it was pruned: (S_mask, blocks) pairs,
     blocks a tuple of ascending label tuples, in the enumeration's order.
     Streamed: each minimum is left out, then joins each block in turn,
-    then opens a new one, and a choice is yielded as soon as it is made."""
+    then opens a new one, and a choice is yielded as soon as it is made.
+    With `leave_out` false no minimum is left out, so only the choices
+    with S = min_mask come, in the same order."""
     elems = list(_bits(min_mask))
 
     def rec(idx, s, blocks):
@@ -425,7 +427,8 @@ def unpruned_layer_choices(min_mask, forbidden):
                 yield s, tuple(labels for labels, _ in blocks)
             return
         label, bit = elems[idx] + 1, 1 << elems[idx]
-        yield from rec(idx + 1, s, blocks)
+        if leave_out:
+            yield from rec(idx + 1, s, blocks)
         for b, (labels, mask) in enumerate(blocks):
             joined = (labels + (label,), mask | bit)
             yield from rec(idx + 1, s | bit, blocks[:b] + (joined,) + blocks[b + 1:])
@@ -437,7 +440,9 @@ def unpruned_layer_choices(min_mask, forbidden):
 def rescan_enumerate_transverse(P: Poset):
     """`partitions.enumerate_transverse` with two `_min_mask` scans per
     state, taking a layer S of the minima mm only if S is mm or S holds
-    every minimum below some minimum of alive - mm."""
+    every minimum below some minimum of alive - mm.  When nothing lies
+    above mm, only S = mm is taken, so no choice leaving a minimum out is
+    built."""
     n = P.n
     down = P._down
 
@@ -447,7 +452,7 @@ def rescan_enumerate_transverse(P: Poset):
             return
         mm = _min_mask(down, alive)
         targets = list(_bits(_min_mask(down, alive & ~mm)))
-        for s_mask, blocks in unpruned_layer_choices(mm, forbidden):
+        for s_mask, blocks in unpruned_layer_choices(mm, forbidden, bool(targets)):
             if s_mask != mm and all(down[t] & mm & ~s_mask for t in targets):
                 continue
             for tail in rec(alive & ~s_mask, mm & ~s_mask):

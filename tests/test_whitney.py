@@ -332,17 +332,50 @@ def test_masked_lrmax_state_matches_unmasked_oracle():
     assert any(_lrmax_oracle(P, _prevless_lrmax_step) != _lrmax_oracle(P) for P in corpus)
 
 
-@pytest.mark.parametrize("P, most", [
-    # states unmasked and with live_cut_lrmax_step: 317 384 and 5 277,
-    # 7 172 and 1 781, 1 567 and 1 567
-    (random_poset(14, 0.15, random.Random(2)), 4717),
-    (union_of_chains([2] * 5), 1781),
-    (grid(4, 5), 835),
-])
+def _three_mask_lrmax_step(P):
+    """The lrmax step with `live` kept as its two parts: state (over_cur,
+    over_prev, above), read only as over_prev & above (negative control
+    for the state pins)."""
+    up = P._up
+    full = (1 << P.n) - 1
+
+    def step(placed, state, v):
+        over_cur, over_prev, above = state
+        b = 1 << v
+        if over_cur & b:
+            return (up[v], over_cur & ~b, full & ~placed & -(b << 1)), 0
+        after = (over_cur | up[v], over_prev & ~b)
+        if over_prev & above & b:
+            return (*after, above & -(b << 1)), 0
+        return (*after, above & ~b), 1
+
+    return (0, full, full), step
+
+
+LRMAX_STATE_PINS = [
+    # states unmasked, with live_cut_lrmax_step and with _three_mask_lrmax_step:
+    # 317 384, 5 277 and 4 717; 7 172, 1 781 and 1 781; 1 567, 1 567 and 835
+    (random_poset(14, 0.15, random.Random(2)), 3711),
+    (union_of_chains([2] * 5), 1096),
+    (grid(4, 5), 589),
+]
+
+
+@pytest.mark.parametrize("P, most", LRMAX_STATE_PINS)
 def test_masked_lrmax_state_bounds_the_work(monkeypatch, P, most):
     monkeypatch.setattr(whitney, "_extension_dp", _list_extension_dp)
     assert poincare_via_lrmax(P) == poincare_via_transverse(P)
     assert _list_extension_dp.states <= most
+
+
+def test_three_mask_lrmax_state_exceeds_every_pin():
+    # negative control: the state that keeps over_prev and above apart gives
+    # the same polynomial in more states than each pin allows
+    for P, most in LRMAX_STATE_PINS:
+        start, step = _three_mask_lrmax_step(P)
+        got = _list_extension_dp(P.n, P._down, start, step)
+        assert got == poincare_via_lrmax(P)
+        assert _list_extension_dp.states > most, P.relations()
 
 
 def test_level_masks_merge_at_least_the_live_cut_states(monkeypatch):
@@ -362,15 +395,15 @@ def test_level_masks_merge_at_least_the_live_cut_states(monkeypatch):
 
 
 def test_level_one_reads_every_unplaced_element(monkeypatch):
-    # negative control: with over_prev empty on level one, no element there
-    # is ever an LR maximum, and the oracle comparison sees it
+    # negative control: with live empty on level one, no element there is
+    # ever an LR maximum, and the oracle comparison sees it
     corpus = packed_kernel_corpus()
     want = [_lrmax_oracle(P) for P in corpus]
     extension_dp = whitney._extension_dp
 
     def levelless(n, down, start, step):
-        over_cur, _, above = start
-        return extension_dp(n, down, (over_cur, 0, above), step)
+        over_cur, _ = start
+        return extension_dp(n, down, (over_cur, 0), step)
 
     monkeypatch.setattr(whitney, "_extension_dp", levelless)
     assert any(poincare_via_lrmax(P) != w for P, w in zip(corpus, want))
