@@ -12,24 +12,25 @@ descent of the word into a two-element block.  omega_inv walks the two
 chains with one pointer each, so neither needs the minima of what is left.
 
 Comparability is read off the bit-packed rows P._up / P._down, never pair
-by pair: psi and level_decompose are one pass over level masks, and phi
-hands the cycles straight to the quotient peel of `partitions`, which
-checks transversality and yields the cycles' quotient levels in the same
-pass.  omega_inv needs no peel: its walk writes the one word that can map
-to its partition, and the partition is transverse iff omega maps that word
-back to it, so its check is one more linear pass.
+by pair: psi and level_decompose are one pass over level masks, and psi's
+pass also checks that no letter has an unplaced letter below it.  phi walks
+tau's images once, collecting each cycle with its label mask and up rows,
+and levels the cycles by the rule of the quotient peel of `partitions`,
+picking each cycle's lead as it levels it.  omega_inv needs no peel: its
+walk writes the one word that can map to its partition, and the partition
+is transverse iff omega maps that word back to it, so its check is one
+more linear pass.
 
 Caller input is validated and library-built objects are not:
 `Permutation(...)` and `parse_permutation` check that the images are a
 permutation of 1..n, while `psi` returns `Permutation._built`, because
-its `is_linear_extension` check has already proved the word a
-permutation of 1..n, and the scan maps each cut segment of the word onto
-itself as one cycle, so the images are the word's letters rearranged.
-`transverse_permutations` builds the same way: it writes each image
-along a cycle of a block of a partition of 1..n.  `omega` returns
-`SetPartition._built` with each pair sorted: its word is a linear
-extension, so a permutation of 1..n, and no two crossing descents share a
-letter, so each letter lies in one pair or stands alone.
+its check has already proved the word a permutation of 1..n, and the scan
+maps each cut segment of the word onto itself as one cycle, so the images
+are the word's letters rearranged.  `transverse_permutations` builds the
+same way: it writes each image along a cycle of a block of a partition of
+1..n.  `omega` returns `SetPartition._built` with each pair sorted: its
+word is a linear extension, so a permutation of 1..n, and no two crossing
+descents share a letter, so each letter lies in one pair or stands alone.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .errors import (
 )
 from .partitions import (
     SetPartition,
-    _quotient_peel,
     check_transverse,
     enumerate_transverse,
     partition_to_text,
@@ -219,30 +219,68 @@ def levels_of_permutation(P: Poset, tau: Permutation):
 def phi(P: Poset, tau: Permutation):
     """Standard-form word: each cycle written from its leading essential
     element, cycles sorted by (level, leading element).  An element is
-    essential on level one, or when it lies above something one level down;
-    the peel sets a cycle on level lv >= 2 only above a level lv - 1 block."""
-    cycles = tau.cycles()
-    # a failed peel goes on to check_transverse only to word the error
-    level, level_masks = (_quotient_peel(P, cycles, tau.n)
-                          or check_transverse(P, tau.cycle_partition()))
-    down = P._down
-    keyed = []
-    for cyc, lv in zip(cycles, level):
-        if lv == 1:
-            lead = max(cyc)
-        else:
-            below = level_masks[lv - 1]
-            lead = 0
-            for x in cyc:
-                if x > lead and down[x - 1] & below:
-                    lead = x
-        at = cyc.index(lead)
-        keyed.append((lv, lead, cyc[at:] + cyc[:at]))
-    # the keys (lv, lead) are distinct, so the words never decide the order
-    keyed.sort()
+    essential on level one, or when it lies above something one level down.
+
+    One walk of tau's images collects each cycle with its label mask and
+    the union of its up rows.  The level loop is the quotient peel of
+    `partitions._quotient_peel`: a level is every remaining cycle whose
+    mask misses the up rows of the remaining cycles, and an empty level
+    means tau's cycle partition is not transverse.  The peel sets a cycle
+    on level lv >= 2 only above a level lv - 1 cycle, so the loop picks its
+    lead against the previous level's mask as it levels it."""
+    n = P.n
+    if tau.n != n:
+        raise IndexOutOfRange("partition size differs from poset size")
+    images = tau.images
+    up, down = P._up, P._down
+    cycles = rem = []  # rem is rebound level by level; cycles keeps them all
+    above = 0
+    left = (1 << n) - 1
+    while left:
+        s = (left & -left).bit_length()
+        cyc = [s]
+        m = 1 << (s - 1)
+        u = up[s - 1]
+        x = images[s - 1]
+        while x != s:
+            cyc.append(x)
+            m |= 1 << (x - 1)
+            u |= up[x - 1]
+            x = images[x - 1]
+        left ^= m
+        above |= u
+        rem.append((cyc, m, u))
     word = []
-    for _, _, cyc in keyed:
-        word += cyc
+    below = 0  # the previous level's labels; 0 while leveling level one
+    while rem:
+        layer = nxt = 0
+        kept = []
+        keyed = []
+        for entry in rem:
+            cyc, m, u = entry
+            if m & above:
+                kept.append(entry)
+                nxt |= u
+                continue
+            layer |= m
+            if below:
+                lead = 0
+                for x in cyc:
+                    if x > lead and down[x - 1] & below:
+                        lead = x
+            else:
+                lead = max(cyc)
+            at = cyc.index(lead)
+            keyed.append((lead, cyc[at:] + cyc[:at]))
+        if not layer:
+            # check_transverse's text: cycles are found by smallest label
+            text = "|".join(",".join(map(str, sorted(cyc))) for cyc, _, _ in cycles)
+            raise NotTransverse(f"{text} is not transverse")
+        # the leads are distinct, so the cycles never decide the order
+        keyed.sort()
+        for _, cyc in keyed:
+            word += cyc
+        rem, above, below = kept, nxt, layer
     return tuple(word)
 
 
@@ -306,17 +344,26 @@ def psi(P: Poset, sigma) -> Permutation:
     a cycle, so the letter before it maps to the previous opener; every
     other letter is the image of the letter before it, and the last letter
     maps to the last opener.  Slot 0 of `images` takes the write made
-    before the first letter."""
-    word = _extension_word(P, sigma)
+    before the first letter.  The word is checked as `is_linear_extension`
+    checks it: a permutation of 1..n first, then, in the same scan that
+    writes the images, no letter with an unplaced letter below it."""
+    word = tuple(sigma)
+    n = P.n
+    if len(word) != n or sorted(word) != list(range(1, n + 1)):
+        raise NotLinearExtension(f"{list(word)} is not a linear extension")
     down = P._down
-    images = [0] * (len(word) + 1)
-    cur = prev = runm = 0
+    images = [0] * (n + 1)
+    placed = cur = prev = runm = 0
     opener = before = 0
     for x in word:
         row = down[x - 1]
+        if row & ~placed:
+            raise NotLinearExtension(f"{list(word)} is not a linear extension")
+        bit = 1 << (x - 1)
+        placed |= bit
         if row & cur:
             prev, cur, runm = cur, 0, 0
-        cur |= 1 << (x - 1)
+        cur |= bit
         if x > runm and (not prev or row & prev):  # prev is 0 on level one
             runm = x
             images[before] = opener

@@ -232,6 +232,8 @@ def cmd_genfun(args):
             else:
                 print(f"ALL MATCH ({len(report)} coefficients)")
         return 4 if bad else 0
+    if args.n > SIZE_GUARD:  # the sweep would visit 2^n down-sets
+        raise ParseError(f"n={args.n} exceeds the size guard {SIZE_GUARD}")
     poly = whitney.poincare_via_lrmax(antichain(args.n))
     ok = whitney.stirling_row_matches(poly, args.n)
     print(_poly_text(poly, args.machine))

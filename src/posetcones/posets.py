@@ -15,7 +15,6 @@ recurses.
 
 from __future__ import annotations
 
-import random
 from math import comb
 
 from .errors import (
@@ -230,9 +229,11 @@ def ordinal_sum(P1: Poset, P2: Poset) -> Poset:
     return poset_from_relations(n1 + n2, pairs)
 
 
-def random_poset(n: int, p: float, rng: random.Random) -> Poset:
+def random_poset(n: int, p: float, rng) -> Poset:
     """Each upward pair (i,j), i<j, kept with probability p, then closed.
-    Upward-only sampling cannot create cycles (biases toward natural labelings)."""
+    Upward-only sampling cannot create cycles (biases toward natural labelings).
+    `rng` is a `random.Random`; the module does not import `random`, so
+    `import posetcones` does not load it."""
     pairs = [
         (i, j)
         for i in range(1, n + 1)

@@ -644,7 +644,7 @@ def keyed_phi(P: Poset, tau: Permutation):
     """`bijections.phi` on `set_cycles`, each lead the `max` of a generator
     over the essential letters, the words sorted under nested keys.  It
     still raises on a cycle with no essential letter, which `phi` trusts
-    the quotient peel to rule out."""
+    its level loop to rule out."""
     cycles = set_cycles(tau)
     level, level_masks = (_quotient_peel(P, cycles, tau.n)
                           or check_transverse(P, tau.cycle_partition()))

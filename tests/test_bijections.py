@@ -594,7 +594,6 @@ def test_omega_round_trips_make_no_quotient_peel(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr("posetcones.partitions._quotient_peel", counted)
-    monkeypatch.setattr("posetcones.bijections._quotient_peel", counted)
     P = grid(2, 10)
     d = chain_cover_width2(P)
     words = list(islice(linear_extensions(P), 64))

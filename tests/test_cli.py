@@ -467,6 +467,19 @@ def test_genfun_stirling_negative_n_exit_2():
     assert err.endswith("error: argument --n: must be at least 0\n")
 
 
+def test_genfun_stirling_stops_at_the_size_guard(capsys, monkeypatch):
+    # past the guard the lrmax sweep over antichain(n) would visit 2^n
+    # down-sets, so the guard must refuse before the sweep is reached
+    def refuse(P):
+        raise AssertionError(f"the sweep ran on n={P.n}")
+
+    monkeypatch.setattr(whitney, "poincare_via_lrmax", refuse)
+    assert run(capsys, "genfun", "stirling", "--n", "65") == (
+        2, "", "error: n=65 exceeds the size guard 64\n")
+    with pytest.raises(AssertionError, match="^the sweep ran on n=64$"):
+        run(capsys, "genfun", "stirling", "--n", "64")
+
+
 def test_selfcheck_n_max_zero_exit_2():
     code, _, err = run_process("selfcheck", "--n-max", "0")
     assert code == 2 and "Traceback" not in err

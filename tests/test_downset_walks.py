@@ -22,8 +22,11 @@ import pytest
 
 from posetcones import (
     ChainDecomposition,
+    IndexOutOfRange,
     IntPolynomial,
     MultisetPermutation,
+    NotLinearExtension,
+    NotTransverse,
     Permutation,
     SetPartition,
     antichain,
@@ -283,6 +286,66 @@ def test_psi_reads_no_record_and_builds_no_cycles(monkeypatch):
     monkeypatch.setattr(bijections, "level_decompose", refuse)
     monkeypatch.setattr(Permutation, "from_cycles", refuse)
     assert [psi(P, w) for w in words] == want
+
+
+def _psi_probes(n):
+    """Every order of 1..n, and for each: the word less its last letter, the
+    word with n + 1 appended, and its last letter replaced by 0, by n + 1
+    and by its first letter."""
+    for w in permutations(range(1, n + 1)):
+        yield w
+        if w:
+            yield w[:-1]
+            yield w + (n + 1,)
+            yield w[:-1] + (0,)
+            yield w[:-1] + (n + 1,)
+            yield w[:-1] + (w[0],)
+
+
+def test_psi_refuses_exactly_the_words_that_are_no_linear_extension():
+    # psi folds the down-row test into its scan; is_linear_extension is the
+    # one definition it must keep
+    for n in range(5):
+        for P in all_labeled_posets(n):
+            for w in _psi_probes(n):
+                got = outcome(psi, P, w)
+                if is_linear_extension(P, w):
+                    assert got == record_psi(P, w), (P.relations(), w)
+                else:
+                    assert got == (NotLinearExtension,
+                                   f"{list(w)} is not a linear extension"), (P.relations(), w)
+
+
+def test_phi_walks_the_images_once_and_raises_as_before(monkeypatch):
+    # phi finds its cycles and levels them in one loop: it builds no
+    # Permutation.cycles list and runs no quotient peel, on transverse and
+    # on refused permutations alike
+    rng = random.Random(34)
+    posets = [antichain(8), grid(3, 3), random_poset(10, 0.2, rng), random_poset(9, 0.4, rng)]
+    good, bad = [], []
+    for P in posets:
+        good += [(P, psi(P, w)) for w in islice(linear_extensions(P), 60)]
+        for _ in range(60):
+            tau = Permutation(rng.sample(range(1, P.n + 1), P.n))
+            if not partitions.is_transverse(P, tau.cycle_partition()):
+                bad.append((P, tau, outcome(partitions.check_transverse, P,
+                                            tau.cycle_partition())))
+    assert len(bad) > 100
+    want = [keyed_phi(P, tau) for P, tau in good]
+    assert all(refused[0] is NotTransverse for _, _, refused in bad)
+
+    def refuse(*args):
+        raise AssertionError("phi went through the cycles or the peel")
+
+    monkeypatch.setattr(Permutation, "cycles", refuse)
+    monkeypatch.setattr(partitions, "_quotient_peel", refuse)
+    assert [phi(P, tau) for P, tau in good] == want
+    for P, tau, refused in bad:
+        assert outcome(phi, P, tau) == refused, (P.relations(), tau)
+    for P in posets:
+        for size in (P.n - 1, P.n + 1):
+            assert outcome(phi, P, Permutation.identity(size)) == (
+                IndexOutOfRange, "partition size differs from poset size")
 
 
 def test_built_objects_equal_their_validated_forms():

@@ -1,8 +1,11 @@
 """Unused-import, function-local-import, stdlib-import, import-order,
 unread-private-definition, unchecked-constructor and recursive-closure
-checks for the library modules, written on the stdlib `ast`."""
+checks for the library modules, written on the stdlib `ast`, and one check,
+in a fresh interpreter, of what `import posetcones` loads."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import posetcones
@@ -334,3 +337,21 @@ def test_planted_recursive_closure_is_flagged():
     )
     assert recursive_closures(planted) == sorted(
         RECURSIVE_CLOSURES + [("posets.py", "count_ideals.rec")])
+
+
+def _loads_random(module):
+    """Whether importing `module` from the package's source tree, in an
+    interpreter started with -S (so `site` loads nothing first), puts
+    `random` in sys.modules."""
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+            f"import {module}; print('random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout == "True\n"
+
+
+def test_import_posetcones_leaves_random_unloaded():
+    # `random` is the CLI's, for selfcheck's draws; the library takes an rng
+    # from its caller.  Negative control: importing the CLI does load it
+    assert not _loads_random("posetcones")
+    assert _loads_random("posetcones.cli")
