@@ -53,7 +53,10 @@ coefficient d in bits [d*w, (d+1)*w) and `unpack_slots` reads it back.
 Both walks remove a layer of minima from an up-set, and a minimum of what
 remains that was not a minimum before must cover a removed element.  So
 each finds a state's minima from its parent's minima and the cover rows of
-the layer it took, never by scanning the alive set.
+the layer it took, never by scanning the alive set.  Both also key what they
+derive on the up-set that remains: the recursion its memo, the enumeration
+one cache of each remaining up-set's minima and the minima above those,
+shared by every layer and path that leaves that up-set.
 
 Caller input is validated and library-built partitions are not:
 `SetPartition(...)` and `parse_partition` check every block, while
@@ -108,10 +111,12 @@ class SetPartition:
         return pi
 
     def mobius_abs(self) -> int:
-        """|mu(0-hat, pi)| on the partition lattice: prod (|B|-1)!."""
+        """|mu(0-hat, pi)| on the partition lattice: prod (|B|-1)!, where
+        only blocks of three or more labels weigh more than 1."""
         out = 1
         for blk in self.blocks:
-            out *= factorial(len(blk) - 1)
+            if len(blk) > 2:
+                out *= factorial(len(blk) - 1)
         return out
 
     def __len__(self):
@@ -222,37 +227,53 @@ def enumerate_transverse(P: Poset):
     reachable, fo, a mask over the positions in `blocks` marking the blocks
     that hold only forbidden labels, the layer's blocks as label tuples,
     and the record of the state, (alive, forbidden, mm, the labels taken
-    above it, and a cache from S to the minima of alive - S), which its
-    frames share.  No frame is changed, so siblings share what they leave
-    alone.  The frame deciding minimum v pushes v in
-    a new block, v joining each block from the last to the first, and v
-    left out, so they pop in the reverse order.  A finished layer yields
-    its partition if it leaves nothing alive, and otherwise pushes the
-    child's first frame above its siblings, so the child's partitions come
-    first.  A child's minima depend on S alone, not on how S is split into
-    blocks, so a state derives its targets once and the minima after each
-    other S that leaves something alive once (`posets._minima_after`): its
-    cache starts as {mm: targets}, the minima after S = mm.  The walk
-    starts at the child of an empty layer over P, so the root is set up as
-    every other state is.  No recursion limit bounds the number of levels
-    or of minima.
+    above it, its targets), which its frames share.  No frame is changed,
+    so siblings share what they leave alone.  The frame deciding minimum v
+    pushes v in a new block, v joining each block from the last to the
+    first, and v left out, so they pop in the reverse order.  When v is
+    the layer's last minimum and S + v is all of alive, every child is a
+    whole partition and none leaves v out (alive is an antichain, so there
+    is no target), so the frame yields them itself, in that pop order.
+    Otherwise a finished layer pushes the child's first frame above its
+    siblings, so the child's partitions come first; only the empty poset's
+    root finishes a layer that leaves nothing alive.
+
+    The child's minima and targets depend on the up-set rest = alive - S
+    alone, not on how S is split into blocks or which path reached rest,
+    so one dict for the whole walk maps each rest to that pair, derived
+    once (`posets._minima_after`); the layer S = mm leaves the state's
+    targets as its minima and reuses them.  The dict holds at most one
+    entry per up-set of P that the walk reaches, so no more entries than
+    the walk has states, and it does not grow with the partitions yielded.
+    The walk starts at the child of an empty layer over P, so the root is
+    set up as every other state is.  No recursion limit bounds the number
+    of levels or of minima.
     """
     n = P.n
     down = P._down
     up = P._up
     cover = _cover_rows(down)
     full = (1 << n) - 1
-    stack = [(0, 0, 0, 0, (), (full, 0, 0, (), {0: _min_mask(down, full)}))]
+    known = {}
+    stack = [(0, 0, 0, 0, (), (full, 0, 0, (), _min_mask(down, full)))]
     while stack:
         left, s, targets, fo, blocks, state = stack.pop()
-        alive, forbidden, mm, taken, minima = state
+        alive, forbidden, mm, taken, above = state
         if left:
             bit = left & -left
             left ^= bit
             label = bit.bit_length()
             free = not forbidden & bit
-            room = (left & ~forbidden).bit_count()
             short = fo.bit_count()
+            if s | bit == alive:  # the last decision, and nothing stays alive
+                for b in range(len(blocks)):
+                    if short - (free and fo >> b & 1) <= 0:
+                        yield SetPartition._built(
+                            n, taken + blocks[:b] + (blocks[b] + (label,),) + blocks[b + 1:])
+                if free and not short:
+                    yield SetPartition._built(n, taken + blocks + ((label,),))
+                continue
+            room = (left & ~forbidden).bit_count()
             if short + (not free) <= room:
                 stack.append((left, s | bit, targets, fo | (not free) << len(blocks),
                               blocks + ((label,),), state))
@@ -266,15 +287,15 @@ def enumerate_transverse(P: Poset):
             continue
         taken += blocks
         rest = alive & ~s
-        if not rest:
+        if not rest:  # only the empty poset's root gets here
             yield SetPartition._built(n, taken)
             continue
-        after = minima.get(s)
-        if after is None:
-            after = minima[s] = _minima_after(mm, s, rest, down, cover)
-        targets = _minima_after(after, after, rest & ~after, down, cover)
-        stack.append((after, 0, targets, 0, (),
-                      (rest, mm & ~s, after, taken, {after: targets})))
+        entry = known.get(rest)
+        if entry is None:
+            after = above if s == mm else _minima_after(mm, s, rest, down, cover)
+            entry = known[rest] = (after, _minima_after(after, after, rest & ~after, down, cover))
+        after, targets = entry
+        stack.append((after, 0, targets, 0, (), (rest, mm & ~s, after, taken, targets)))
 
 
 def transverse_poly_coeffs(P: Poset):

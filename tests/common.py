@@ -27,9 +27,10 @@ from posetcones import (
     poset_from_relations,
     random_poset,
 )
+from posetcones import partitions
 from posetcones.partitions import _quotient_peel, check_transverse
 from posetcones.polynomials import slot_width, stirling_first_kind_row, unpack_slots
-from posetcones.posets import _bits, _label_mask, _min_mask
+from posetcones.posets import _bits, _cover_rows, _label_mask, _min_mask
 
 
 def is_transitive(rel):
@@ -462,6 +463,64 @@ def rescan_enumerate_transverse(P: Poset):
         yield SetPartition(n, blocks)
 
 
+def keyed_enumerate_transverse(P: Poset, key):
+    """`partitions.enumerate_transverse` with its cache keyed by
+    key(taken, blocks, rest), the labels taken above the state, the
+    finished layer's blocks and the up-set the layer leaves, in place of
+    rest alone.  Every key that determines rest is correct, so only the
+    cache's hits and size change.  It calls `partitions._minima_after`
+    through the module, so a patch there counts its calls."""
+    n = P.n
+    down = P._down
+    up = P._up
+    cover = _cover_rows(down)
+    full = (1 << n) - 1
+    known = {}
+    stack = [(0, 0, 0, 0, (), (full, 0, 0, (), _min_mask(down, full)))]
+    while stack:
+        left, s, targets, fo, blocks, state = stack.pop()
+        alive, forbidden, mm, taken, above = state
+        if left:
+            bit = left & -left
+            left ^= bit
+            label = bit.bit_length()
+            free = not forbidden & bit
+            short = fo.bit_count()
+            if s | bit == alive:
+                for b in range(len(blocks)):
+                    if short - (free and fo >> b & 1) <= 0:
+                        yield SetPartition._built(
+                            n, taken + blocks[:b] + (blocks[b] + (label,),) + blocks[b + 1:])
+                if free and not short:
+                    yield SetPartition._built(n, taken + blocks + ((label,),))
+                continue
+            room = (left & ~forbidden).bit_count()
+            if short + (not free) <= room:
+                stack.append((left, s | bit, targets, fo | (not free) << len(blocks),
+                              blocks + ((label,),), state))
+            for b in range(len(blocks) - 1, -1, -1):
+                if short - (free and fo >> b & 1) <= room:
+                    stack.append((left, s | bit, targets, fo & ~(free << b),
+                                  blocks[:b] + (blocks[b] + (label,),) + blocks[b + 1:], state))
+            kept = targets & ~up[label - 1]
+            if kept and short <= room:
+                stack.append((left, s, kept, fo, blocks, state))
+            continue
+        rest = alive & ~s
+        k = key(taken, blocks, rest)
+        taken += blocks
+        if not rest:
+            yield SetPartition._built(n, taken)
+            continue
+        entry = known.get(k)
+        if entry is None:
+            after = above if s == mm else partitions._minima_after(mm, s, rest, down, cover)
+            entry = known[k] = (after, partitions._minima_after(
+                after, after, rest & ~after, down, cover))
+        after, targets = entry
+        stack.append((after, 0, targets, 0, (), (rest, mm & ~s, after, taken, targets)))
+
+
 def product_transverse_permutations(P: Poset):
     """`bijections.transverse_permutations` listing every block's cyclic
     arrangements before `product` combines them."""
@@ -475,6 +534,23 @@ def product_transverse_permutations(P: Poset):
                     images[prev] = x
                     prev = x
             yield Permutation(images[1:])
+
+
+def count_calls(monkeypatch, module, name, limit=None):
+    """Patch module.name to record each call's arguments in the list it
+    returns.  Past `limit` calls it raises instead, so a walk that would
+    never end fails the test."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        if limit is not None and len(calls) > limit:
+            raise AssertionError(f"more than {limit} calls of {name}")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def outcome(f, *args):

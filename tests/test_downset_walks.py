@@ -68,7 +68,9 @@ from common import (
     all_labeled_posets,
     all_partitions,
     compositions,
+    count_calls,
     descending_runs_poly,
+    keyed_enumerate_transverse,
     keyed_phi,
     kuhn_chain_cover,
     outcome,
@@ -553,36 +555,38 @@ def test_transverse_dp_steps_no_dead_antichain_child(monkeypatch, P, want):
     # The sparse poset has 12 isolated points among its 16 minima: without
     # the closure its first state alone sums 2^16 layer sets, and the DP
     # ran for about a minute.
-    calls = []
-    step = partitions._minima_after
-
-    def counted(*args):
-        calls.append(args)
-        return step(*args)
-
-    monkeypatch.setattr(partitions, "_minima_after", counted)
+    calls = count_calls(monkeypatch, partitions, "_minima_after")
     transverse_poly_coeffs(P)
     assert len(calls) == want
 
 
 def test_enumeration_derives_minima_once_per_layer_set(monkeypatch):
-    # 190 states visited, each deriving its targets once, and 70 distinct
-    # layer sets S (of 465 layer choices) other than the state's minima mm
-    # that leave something alive in their state, each deriving the child's
-    # minima once however many block arrangements S has: 190 + 70 = 260
-    # calls.  The 40 layer sets S = mm that leave something alive reuse
-    # the targets, the minima of alive - mm.  A walk that takes a dead or
-    # an empty layer may never end, so the count is refused past that
+    # one cache per walk, keyed by the up-set a finished layer leaves: the
+    # walk reaches 29 up-sets with something alive, P itself included, and
+    # derives each one's targets once (29 calls); the 23 of them first
+    # reached through a layer S other than its state's minima mm derive
+    # their minima as well (23 calls), while S = mm reuses the state's
+    # targets: 29 + 23 = 52 calls.  Each state's own cache, keyed by S, took
+    # 260: 190 states deriving their targets and 70 distinct layer sets
+    # S != mm.  A walk that takes a dead or an empty layer may never end, so
+    # the count is refused past that
     P = random_poset(7, 0.2, random.Random(2))
-    calls = []
-    step = partitions._minima_after
-
-    def counted(*args):
-        calls.append(args)
-        if len(calls) > 260:
-            raise AssertionError("more than 260 minima derivations")
-        return step(*args)
-
-    monkeypatch.setattr(partitions, "_minima_after", counted)
+    calls = count_calls(monkeypatch, partitions, "_minima_after", limit=52)
     assert sum(1 for _ in enumerate_transverse(P)) == 276
-    assert len(calls) == 260
+    assert len(calls) == 52
+
+
+def test_per_state_cache_exceeds_the_minima_pin(monkeypatch):
+    # negative control for the pin above: keyed by the up-set alone, the
+    # test copy of the walk makes the library's 52 calls and yields the
+    # same list; keyed by the state as well, as each state's own cache
+    # was, it derives an up-set's minima again on every path to it
+    P = random_poset(7, 0.2, random.Random(2))
+    want = list(enumerate_transverse(P))
+    calls = count_calls(monkeypatch, partitions, "_minima_after")
+    assert list(keyed_enumerate_transverse(P, lambda taken, blocks, rest: rest)) == want
+    assert len(calls) == 52
+    calls.clear()
+    per_state = keyed_enumerate_transverse(P, lambda taken, blocks, rest: (taken, rest))
+    assert list(per_state) == want
+    assert len(calls) > 52

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -41,6 +42,8 @@ from common import (
     all_labeled_posets,
     all_partitions,
     brute_force_transverse,
+    count_calls,
+    keyed_enumerate_transverse,
     layer_weight,
     multinomial,
     packed_kernel_corpus,
@@ -254,21 +257,14 @@ def test_transverse_permutations_keep_their_order(monkeypatch):
 
 
 def test_enumeration_builds_no_dead_layer(monkeypatch):
-    # each state derives its targets once, and each layer set S other than
-    # its minima mm that leaves something alive derives the child's minima
-    # once; the layer S = mm reuses the targets.  An antichain is one state
-    # with no target, so its only layer set takes every point: one call,
-    # for the root's targets.  A chain's n states each take their one
+    # each up-set that a finished layer leaves alive derives its targets
+    # once per walk, and its minima too unless the layer that first reaches
+    # it is all of its state's minima mm, whose targets it reuses.  An
+    # antichain is one state with no target, so its only up-set is P: one
+    # call, for the root's targets.  A chain's n states each take their one
     # minimum, S = mm, so only their targets are derived: n calls.  A dead
-    # layer would add states, and so calls, that yield nothing.
-    calls = []
-    step = partitions._minima_after
-
-    def counted(*args):
-        calls.append(args)
-        return step(*args)
-
-    monkeypatch.setattr(partitions, "_minima_after", counted)
+    # layer would add up-sets, and so calls, that yield nothing.
+    calls = count_calls(monkeypatch, partitions, "_minima_after")
     for n in range(1, 8):
         calls.clear()
         assert sum(1 for _ in enumerate_transverse(antichain(n))) == BELL[n]
@@ -289,6 +285,33 @@ def test_enumeration_streams_its_first_partition_at_once():
         tracemalloc.stop()
     assert first == SetPartition(10, [tuple(range(1, 11))])
     assert peak < 1 << 20, peak
+
+
+def _stream_peak_kib(stream, count):
+    """KiB at the tracemalloc peak while the first `count` items stream."""
+    tracemalloc.start()
+    try:
+        for _ in islice(stream, count):
+            pass
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumeration_memory_stays_flat_along_the_stream():
+    # the walk's cache holds one entry per up-set it reaches (225 on this
+    # poset's whole stream of 291 086 partitions), never one per partition;
+    # the walk peaked near 28 KiB here
+    P = random_poset(12, 0.15, random.Random(1))
+    assert _stream_peak_kib(enumerate_transverse(P), 100_000) < 64
+
+
+def test_cache_per_partition_exceeds_the_memory_cap():
+    # negative control: keyed by the labels taken, one entry per finished
+    # layer, the same walk passes the cap within its first 2 000 partitions
+    P = random_poset(12, 0.15, random.Random(1))
+    per_path = keyed_enumerate_transverse(P, lambda taken, blocks, rest: taken + blocks)
+    assert _stream_peak_kib(per_path, 2_000) > 64
 
 
 def test_layer_choice_oracle_streams_its_first_choice_at_once():
