@@ -233,7 +233,9 @@ def enumerate_transverse(P: Poset):
     first, and v left out, so they pop in the reverse order.  When v is
     the layer's last minimum and S + v is all of alive, every child is a
     whole partition and none leaves v out (alive is an antichain, so there
-    is no target), so the frame yields them itself, in that pop order.
+    is no target), so the frame yields them itself, in that pop order;
+    left to a finished layer instead, each costs one more frame, measured
+    10% slower on `wide`'s posets and 15-26% on antichains of 8 and 9.
     Otherwise a finished layer pushes the child's first frame above its
     siblings, so the child's partitions come first; only the empty poset's
     root finishes a layer that leaves nothing alive.

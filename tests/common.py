@@ -1,6 +1,8 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import inspect
 import random
+import types
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -27,10 +29,9 @@ from posetcones import (
     poset_from_relations,
     random_poset,
 )
-from posetcones import partitions
 from posetcones.partitions import _quotient_peel, check_transverse
 from posetcones.polynomials import slot_width, stirling_first_kind_row, unpack_slots
-from posetcones.posets import _bits, _cover_rows, _label_mask, _min_mask
+from posetcones.posets import _bits, _label_mask, _min_mask
 
 
 def is_transitive(rel):
@@ -41,8 +42,10 @@ def is_transitive(rel):
     return True
 
 
+@lru_cache(maxsize=None)
 def all_labeled_posets(n):
-    """Every strict partial order on labels 1..n, one Poset per relation set.
+    """Every strict partial order on labels 1..n, one Poset per relation set,
+    as a tuple built once per n and shared by every caller.
 
     Each unordered pair is oriented one of three ways (none, up, down); the
     transitivity filter keeps exactly the partial orders.
@@ -58,7 +61,7 @@ def all_labeled_posets(n):
                 rel.add((j, i))
         if is_transitive(rel):
             out.append(poset_from_relations(n, sorted(rel)))
-    return out
+    return tuple(out)
 
 
 def transitive_closure_pairs(n, pairs):
@@ -463,64 +466,6 @@ def rescan_enumerate_transverse(P: Poset):
         yield SetPartition(n, blocks)
 
 
-def keyed_enumerate_transverse(P: Poset, key):
-    """`partitions.enumerate_transverse` with its cache keyed by
-    key(taken, blocks, rest), the labels taken above the state, the
-    finished layer's blocks and the up-set the layer leaves, in place of
-    rest alone.  Every key that determines rest is correct, so only the
-    cache's hits and size change.  It calls `partitions._minima_after`
-    through the module, so a patch there counts its calls."""
-    n = P.n
-    down = P._down
-    up = P._up
-    cover = _cover_rows(down)
-    full = (1 << n) - 1
-    known = {}
-    stack = [(0, 0, 0, 0, (), (full, 0, 0, (), _min_mask(down, full)))]
-    while stack:
-        left, s, targets, fo, blocks, state = stack.pop()
-        alive, forbidden, mm, taken, above = state
-        if left:
-            bit = left & -left
-            left ^= bit
-            label = bit.bit_length()
-            free = not forbidden & bit
-            short = fo.bit_count()
-            if s | bit == alive:
-                for b in range(len(blocks)):
-                    if short - (free and fo >> b & 1) <= 0:
-                        yield SetPartition._built(
-                            n, taken + blocks[:b] + (blocks[b] + (label,),) + blocks[b + 1:])
-                if free and not short:
-                    yield SetPartition._built(n, taken + blocks + ((label,),))
-                continue
-            room = (left & ~forbidden).bit_count()
-            if short + (not free) <= room:
-                stack.append((left, s | bit, targets, fo | (not free) << len(blocks),
-                              blocks + ((label,),), state))
-            for b in range(len(blocks) - 1, -1, -1):
-                if short - (free and fo >> b & 1) <= room:
-                    stack.append((left, s | bit, targets, fo & ~(free << b),
-                                  blocks[:b] + (blocks[b] + (label,),) + blocks[b + 1:], state))
-            kept = targets & ~up[label - 1]
-            if kept and short <= room:
-                stack.append((left, s, kept, fo, blocks, state))
-            continue
-        rest = alive & ~s
-        k = key(taken, blocks, rest)
-        taken += blocks
-        if not rest:
-            yield SetPartition._built(n, taken)
-            continue
-        entry = known.get(k)
-        if entry is None:
-            after = above if s == mm else partitions._minima_after(mm, s, rest, down, cover)
-            entry = known[k] = (after, partitions._minima_after(
-                after, after, rest & ~after, down, cover))
-        after, targets = entry
-        stack.append((after, 0, targets, 0, (), (rest, mm & ~s, after, taken, targets)))
-
-
 def product_transverse_permutations(P: Poset):
     """`bijections.transverse_permutations` listing every block's cyclic
     arrangements before `product` combines them."""
@@ -551,6 +496,25 @@ def count_calls(monkeypatch, module, name, limit=None):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def mutant(module, name, *edits):
+    """module.name rebuilt from its own source with each (old, new) text
+    edit applied, so a negative control runs the library's code with one
+    thing changed rather than a copy of it.  Each `old` must occur exactly
+    once, so a rewrite that drops or repeats it fails loudly instead of
+    leaving the control unmutated.  The function reads the module's live
+    globals, so a `count_calls` patch there still counts its calls, and its
+    line numbers are the file's own."""
+    lines, first = inspect.getsourcelines(getattr(module, name))
+    source = "".join(lines)
+    for old, new in edits:
+        found = source.count(old)
+        assert found == 1, f"{old!r} occurs {found} times in {name}"
+        source = source.replace(old, new)
+    code = compile("\n" * (first - 1) + source, inspect.getsourcefile(module), "exec")
+    body = next(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return types.FunctionType(body, vars(module), name)
 
 
 def outcome(f, *args):

@@ -70,9 +70,9 @@ from common import (
     compositions,
     count_calls,
     descending_runs_poly,
-    keyed_enumerate_transverse,
     keyed_phi,
     kuhn_chain_cover,
+    mutant,
     outcome,
     product_transverse_permutations,
     record_psi,
@@ -577,16 +577,27 @@ def test_enumeration_derives_minima_once_per_layer_set(monkeypatch):
 
 
 def test_per_state_cache_exceeds_the_minima_pin(monkeypatch):
-    # negative control for the pin above: keyed by the up-set alone, the
-    # test copy of the walk makes the library's 52 calls and yields the
-    # same list; keyed by the state as well, as each state's own cache
-    # was, it derives an up-set's minima again on every path to it
+    # negative control for the pin above: the library's walk with its cache
+    # keyed by the state as well as the up-set, as each state's own cache
+    # was, yields the same list but derives an up-set's minima again on
+    # every path to it (181 calls)
     P = random_poset(7, 0.2, random.Random(2))
     want = list(enumerate_transverse(P))
+    per_state = mutant(partitions, "enumerate_transverse",
+                       ("known.get(rest)", "known.get((state, rest))"),
+                       ("known[rest] =", "known[state, rest] ="))
     calls = count_calls(monkeypatch, partitions, "_minima_after")
-    assert list(keyed_enumerate_transverse(P, lambda taken, blocks, rest: rest)) == want
-    assert len(calls) == 52
-    calls.clear()
-    per_state = keyed_enumerate_transverse(P, lambda taken, blocks, rest: (taken, rest))
-    assert list(per_state) == want
+    assert list(per_state(P)) == want
     assert len(calls) > 52
+
+
+def test_mutant_refuses_an_edit_it_cannot_place_once():
+    # `mutant` is what the negative controls run: an edit whose text is
+    # gone, or ambiguous, after a rewrite of the walk must fail the control
+    # rather than leave it testing the unmutated walk
+    with pytest.raises(AssertionError, match="0 times"):
+        mutant(partitions, "enumerate_transverse", ("known.get(taken)", "known.get(rest)"))
+    with pytest.raises(AssertionError, match="2 times"):
+        mutant(partitions, "enumerate_transverse", ("_minima_after(", "posets._minima_after("))
+    for P in (antichain(0), antichain(4), grid(2, 3), random_poset(7, 0.2, random.Random(2))):
+        assert list(mutant(partitions, "enumerate_transverse")(P)) == list(enumerate_transverse(P))
