@@ -8,8 +8,10 @@ one scan of the word that writes each letter's image as it passes;
 level_decompose is the explanatory record of the same cut (levels,
 essential elements, LR maxima), which lrmax_count reads.  omega is the
 width-2 bijection onto transverse partitions: it pairs each chain-crossing
-descent of the word into a two-element block.  omega_inv walks the two
-chains with one pointer each, so neither needs the minima of what is left.
+descent of the word into a two-element block.  omega_inv merges the two
+chains, each chain-1 letter after the chain-2 run up to its partner or else
+after the chain-2 letters below it, so neither needs the minima of what is
+left.
 
 Comparability is read off the bit-packed rows P._up / P._down, never pair
 by pair: psi and level_decompose are one pass over level masks, and psi's
@@ -17,7 +19,7 @@ pass also checks that no letter has an unplaced letter below it.  phi walks
 tau's images once, collecting each cycle with its label mask and up rows,
 and levels the cycles by the rule of the quotient peel of `partitions`,
 picking each cycle's lead as it levels it.  omega_inv needs no peel: its
-walk writes the one word that can map to its partition, and the partition
+merge writes the one word that can map to its partition, and the partition
 is transverse iff omega maps that word back to it, so its check is one
 more linear pass.
 
@@ -408,50 +410,35 @@ def omega(P: Poset, d, sigma) -> SetPartition:
 
 
 def omega_inv(P: Poset, d, pi: SetPartition):
-    """Rebuild the word with one pointer into each chain.  The chain-1 head
-    is free iff the chain-2 head is not below it; a free head goes next,
-    after the chain-2 run up to its partner if it has one.  Otherwise the
-    chain-2 head goes next.  On a transverse pi the partners alone decide:
-    a block pairs h on chain 1 with x on chain 2, and a y in the run is not
-    above h (or h < x) and, if paired, its partner h' is placed (and y with
-    it) or h < h' while y < x, a 2-cycle of the quotient.  A chain-2 head y
-    below h is unpaired, or its unplaced partner h' >= h has y < h'.
-
-    So the walk writes the one candidate preimage, and since omega maps
-    L(P) onto the transverse partitions, pi is transverse iff omega maps
-    the candidate back to it.  A partner that is not ahead on chain 2, or
-    lies above h, ends the walk at once.  Otherwise no letter of a run lies
-    above h, the lowest unplaced chain-1 letter, so the candidate is a
-    linear extension, and a pi that is not transverse ends in
-    `NotTransverse` either way.  omega, unchecked, sends it to pi iff its
-    sorted crossing descents are the blocks of pi with two or more labels."""
+    """Merge the chains by one rule: each chain-1 letter h goes after the
+    chain-2 run up to its partner if that partner is still ahead on chain
+    2, and otherwise after the chain-2 letters below it.  Every preimage
+    is such a merge, so on a transverse pi this writes the one candidate.
+    A pair the rule cannot honour (a partner on chain 1, behind h, below
+    or above it, or a block of three or more) is no crossing descent of
+    the word, and when each pair is one the word is a linear extension.
+    So pi is transverse iff omega, unchecked, maps the word back to it:
+    iff its sorted crossing descents are the blocks of two or more."""
     if pi.n != P.n:
         raise IndexOutOfRange("partition size differs from poset size")
     partner = {a: b for blk in pi.blocks if len(blk) == 2 for a, b in (blk, blk[::-1])}
-    up, down = P._up, P._down
-    p1, p2 = d.p1, d.p2
-    i = j = 0
+    down, p2 = P._down, d.p2
+    after = {x: i for i, x in enumerate(p2, 1)}
+    t = 0
     word = []
-    while len(word) < P.n:
-        h = p1[i] if i < len(p1) else 0
-        if h and (j == len(p2) or not down[h - 1] >> (p2[j] - 1) & 1):
-            if h in partner:
-                x = partner[h]
-                try:
-                    k = p2.index(x, j) + 1
-                except ValueError:  # x is on chain 1 or already placed
-                    break
-                if up[h - 1] >> (x - 1) & 1:
-                    break
-                word += p2[j:k]
-                j = k
-            word.append(h)
-            i += 1
+    for h in d.p1:
+        k = after.get(partner.get(h), 0)
+        if k <= t:  # h unpaired, or its partner not ahead on chain 2
+            k = t
+            while k < len(p2) and down[h - 1] >> (p2[k] - 1) & 1:
+                word.append(p2[k])
+                k += 1
         else:
-            word.append(p2[j])
-            j += 1
-    else:
-        pairs = {(x, y) if x < y else (y, x) for x, y in _crossing_descents(P, d, word)}
-        if pairs == {blk for blk in pi.blocks if len(blk) > 1}:
-            return tuple(word)
+            word += p2[t:k]
+        word.append(h)
+        t = k
+    word += p2[t:]
+    pairs = {(x, y) if x < y else (y, x) for x, y in _crossing_descents(P, d, word)}
+    if pairs == {blk for blk in pi.blocks if len(blk) > 1}:
+        return tuple(word)
     raise NotTransverse(f"{partition_to_text(pi)} is not transverse")

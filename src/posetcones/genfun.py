@@ -98,16 +98,10 @@ def _symmetric_series(ell, cap, beta) -> TruncatedSeries:
 
 def _check_entries(ell, cap):
     """Raise before allocating when ell * C(ell + cap, cap) passes the bound.
-    The binomial is built as C(big + m, m) with m = min(ell, cap) and
-    big = max(ell, cap), one factor (big + k) / k >= 2 at a time, so the
-    loop stops within about 25 steps on any input."""
-    big = max(ell, cap)
-    count = 1
-    for k in range(1, min(ell, cap) + 1):
-        count = count * (big + k) // k
-        if count * ell > MAX_EXPONENT_ENTRIES:
-            break
-    if count * ell > MAX_EXPONENT_ENTRIES:
+    With m = min(ell, cap) the binomial is at least 2**m, so an m of the
+    bound's bit length or more passes it before any binomial is built."""
+    m = min(ell, cap)
+    if m >= MAX_EXPONENT_ENTRIES.bit_length() or ell * comb(ell + cap, m) > MAX_EXPONENT_ENTRIES:
         raise DegreeExceeded(
             f"ell={ell}, cap={cap} needs more than {MAX_EXPONENT_ENTRIES} "
             f"exponent entries")

@@ -40,11 +40,11 @@ from posetcones import (
     union_of_chains,
     width,
 )
-from posetcones import WidthExceeded, partitions
+from posetcones import PosetconesError, WidthExceeded, bijections, partitions
 from posetcones.foata import foata_phi_inv
 from posetcones.partitions import check_transverse
 
-from common import all_labeled_posets, all_partitions, outcome, quotient_preposet
+from common import all_labeled_posets, all_partitions, mutant, outcome, quotient_preposet
 
 EX_PHI_RELATIONS = [
     (13, 6), (1, 6), (1, 7), (9, 7), (9, 2), (11, 2),
@@ -260,11 +260,24 @@ def test_omega_round_trip_random():
 
 def test_omega_inv_rejects_foreign_partitions():
     P = poset_from_relations(4, [(1, 2), (3, 4)])
-    d = chain_cover_width2(P)
-    with pytest.raises(NotTransverse):
-        omega_inv(P, d, SetPartition(4, [(1, 2), (3,), (4,)]))
     with pytest.raises(IndexOutOfRange):
-        omega_inv(P, d, SetPartition(3, [(1,), (2,), (3,)]))
+        omega_inv(P, chain_cover_width2(P), SetPartition(3, [(1,), (2,), (3,)]))
+    # each pair the merge cannot honour, with chains 1 < 2 and 3 < 4, ends
+    # in check_transverse's error, never ValueError or NotLinearExtension
+    below = poset_from_relations(4, [(1, 2), (3, 4), (3, 2)])
+    above = poset_from_relations(4, [(1, 2), (3, 4), (1, 4)])
+    cases = [
+        (P, [(1, 2), (3,), (4,)]),  # 1's partner is on chain 1
+        (P, [(1, 4), (2, 3)]),  # 2's partner 3 is written before 2 is reached
+        (below, [(2, 3), (1,), (4,)]),  # 2's partner lies below it
+        (above, [(1, 4), (2,), (3,)]),  # 1's partner lies above it
+        (P, [(1, 3, 4), (2,)]),  # a block of three labels
+    ]
+    for Q, blocks in cases:
+        pi = SetPartition(4, blocks)
+        error = outcome(check_transverse, Q, pi)
+        assert error[0] is NotTransverse
+        assert outcome(omega_inv, Q, ChainDecomposition(Q, [1, 2], [3, 4]), pi) == error
 
 
 def _relabeled_width2_posets(count, n_max, seed):
@@ -295,41 +308,30 @@ def _chain_splits(P):
 
 
 def _first_broken_round_trip(inverse, posets):
-    """The first (P, d, pi) on which `inverse` returns no linear extension
-    that `omega` maps back to pi, or None."""
+    """The first (P, d, pi) on which `inverse` raises a library error or
+    returns no linear extension that `omega` maps back to pi, or None."""
     for P in posets:
         family = list(enumerate_transverse(P))
         for d in _chain_splits(P):
             for pi in family:
-                w = inverse(P, d, pi)
-                if not is_linear_extension(P, w) or omega(P, d, w) != pi:
+                try:
+                    w = inverse(P, d, pi)
+                    broken = not is_linear_extension(P, w) or omega(P, d, w) != pi
+                except PosetconesError:
+                    broken = True
+                if broken:
                     return P.relations(), d, pi
     return None
 
 
-def _omega_inv_without_partners(P, d, pi):
-    """`omega_inv` with the runs to each partner left out: it writes the
-    chains in the same order whatever the pairs of pi."""
-    down = P._down
-    p1, p2 = d.p1, d.p2
-    i = j = 0
-    word = []
-    while len(word) < P.n:
-        if i < len(p1) and (j == len(p2) or not down[p1[i] - 1] >> (p2[j] - 1) & 1):
-            word.append(p1[i])
-            i += 1
-        else:
-            word.append(p2[j])
-            j += 1
-    return tuple(word)
-
-
 def test_omega_inv_inverts_omega_on_every_split_and_transverse_partition():
-    # on a transverse partition the partners alone decide the walk's word
+    # on a transverse partition the partners alone decide the merge's word;
+    # without the jump to each partner the merge misses it
     posets = [P for n in range(6) for P in all_labeled_posets(n) if width(P) <= 2]
     posets += _relabeled_width2_posets(300, 7, seed=27)
     assert _first_broken_round_trip(omega_inv, posets) is None
-    assert _first_broken_round_trip(_omega_inv_without_partners, posets) is not None
+    no_jump = mutant(bijections, "omega_inv", ("k = after.get(partner.get(h), 0)", "k = 0"))
+    assert _first_broken_round_trip(no_jump, posets) is not None
 
 
 def test_omega_inv_accepts_exactly_the_transverse_partitions():
